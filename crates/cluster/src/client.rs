@@ -375,9 +375,11 @@ impl SimClient {
         let engine = self.engine_for(t)?;
         self.shard_dispatch(engine).await;
         let cal = &self.d.spec.calibration;
-        let route = self.d.write_route(self.ep, engine);
+        let route = self
+            .d
+            .write_route_id(self.ep, self.d.engine_index_of_target(t));
         let cap = self.d.fabric.flow_cap(self.ep, engine.endpoint);
-        let flow = self.d.fabric.net().transfer(&route, bytes, cap);
+        let flow = self.d.fabric.net().transfer_interned(route, bytes, cap);
         // Tier placement charges occupancy and prices the write at the
         // receiving tier's rates; both tiers full is the permanent
         // out-of-space error (DESIGN.md §14).
@@ -405,9 +407,11 @@ impl SimClient {
         let engine = self.engine_for(t)?;
         self.shard_dispatch(engine).await;
         let cal = &self.d.spec.calibration;
-        let route = self.d.read_route(engine, self.ep);
+        let route = self
+            .d
+            .read_route_id(self.d.engine_index_of_target(t), self.ep);
         let cap = self.d.fabric.flow_cap(engine.endpoint, self.ep);
-        let flow = self.d.fabric.net().transfer(&route, bytes, cap);
+        let flow = self.d.fabric.net().transfer_interned(route, bytes, cap);
         let media = cal.rpc_cpu_cost + self.d.target(t).media.read_time(bytes);
         self.d.target(t).tally.note_read(bytes);
         let service = self.target_service(t, media);
@@ -1861,7 +1865,7 @@ mod tests {
                     let Ok(cont) = client.cont_open_or_create(Uuid::from_name(b"cc")).await else {
                         return;
                     };
-                    let mut alloc = OidAllocator::new(p.into());
+                    let mut alloc = OidAllocator::new(p);
                     for i in 0..6u64 {
                         let class = match i % 3 {
                             0 => ObjectClass::S1,

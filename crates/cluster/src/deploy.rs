@@ -17,7 +17,7 @@ use std::fmt;
 use daosim_kernel::sync::{AdmissionClass, AdmissionPolicy, PrioritySemaphore};
 use daosim_kernel::Sim;
 use daosim_media::{MediaConfigError, MediaTally, TierPolicy, TieredMedia};
-use daosim_net::{Endpoint, Fabric, FabricSpec, LinkId, ProviderProfile};
+use daosim_net::{Endpoint, Fabric, FabricSpec, LinkId, ProviderProfile, RouteId};
 use daosim_objstore::prelude::{Oid, Uuid};
 use daosim_objstore::store::DEFAULT_POOL_CAPACITY;
 use daosim_objstore::{DaosStore, Pool};
@@ -269,6 +269,9 @@ impl Engine {
 struct ClientSocket {
     tx_stack: LinkId,
     rx_stack: LinkId,
+    /// Interned bulk routes to/from each engine, filled on first use:
+    /// slot `2 * engine` for writes, `2 * engine + 1` for reads.
+    routes: RefCell<Vec<Option<RouteId>>>,
 }
 
 /// A deployed cluster. Obtain one per simulation via [`Deployment::new`].
@@ -359,6 +362,7 @@ impl Deployment {
                     .map(|_| ClientSocket {
                         tx_stack: fabric.net().add_link(cal.client_tx_gib * stack_gain),
                         rx_stack: fabric.net().add_link(cal.client_rx_gib * stack_gain),
+                        routes: RefCell::new(Vec::new()),
                     })
                     .collect()
             })
@@ -436,6 +440,38 @@ impl Deployment {
         r.extend(self.fabric.route(engine.endpoint, client));
         r.push(self.client_socket(client).rx_stack);
         r
+    }
+
+    /// Interned [`Self::write_route`] from `client` to engine `engine`,
+    /// cached per (client socket, engine, direction).
+    pub(crate) fn write_route_id(&self, client: Endpoint, engine: u32) -> RouteId {
+        self.bulk_route_id(client, engine, false)
+    }
+
+    /// Interned [`Self::read_route`] from engine `engine` to `client`.
+    pub(crate) fn read_route_id(&self, engine: u32, client: Endpoint) -> RouteId {
+        self.bulk_route_id(client, engine, true)
+    }
+
+    fn bulk_route_id(&self, client: Endpoint, engine: u32, read: bool) -> RouteId {
+        let slot = 2 * engine as usize + read as usize;
+        let routes = &self.client_socket(client).routes;
+        if let Some(&Some(id)) = routes.borrow().get(slot) {
+            return id;
+        }
+        let e = &self.engines[engine as usize];
+        let route = if read {
+            self.read_route(e, client)
+        } else {
+            self.write_route(client, e)
+        };
+        let id = self.fabric.net().intern_route(&route);
+        let mut routes = routes.borrow_mut();
+        if routes.len() <= slot {
+            routes.resize(2 * self.engines.len(), None);
+        }
+        routes[slot] = Some(id);
+        id
     }
 
     /// Per-object-region update lock (DTX-leader serialization
@@ -719,6 +755,13 @@ mod tests {
         assert_eq!(w.len(), 6);
         assert_eq!(r.len(), 6);
         assert_ne!(w, r);
+        // The cached interned ids resolve to the same link sequences.
+        let net = d.fabric.net();
+        let (wid, rid) = (d.write_route_id(client, 0), d.read_route_id(0, client));
+        assert_eq!(&*net.route_links(wid), &w[..]);
+        assert_eq!(&*net.route_links(rid), &r[..]);
+        assert_eq!(d.write_route_id(client, 0), wid);
+        assert_ne!(wid, rid);
     }
 
     #[test]

@@ -715,7 +715,8 @@ mod tests {
     fn zero_shaped_configs_are_rejected_not_panicked() {
         // Each of these used to reach a panic (e.g. `h % writers` in
         // reader_pick) or a stalled pipeline; now they fail fast.
-        let cases: [(&str, fn(&mut CycleConfig)); 5] = [
+        type Poke = fn(&mut CycleConfig);
+        let cases: [(&str, Poke); 5] = [
             ("writers", |c| c.writers = 0),
             ("readers", |c| c.readers = 0),
             ("fields_per_step", |c| c.fields_per_step = 0),

@@ -45,7 +45,7 @@ impl AnySem {
         p: CancelPlan,
         log: Rc<RefCell<Vec<(usize, u64)>>>,
     ) {
-        let class = if i % 3 == 0 {
+        let class = if i.is_multiple_of(3) {
             AdmissionClass::Urgent
         } else {
             AdmissionClass::Normal

@@ -61,22 +61,12 @@ impl Default for Config {
 }
 
 /// The benchmark harness handle.
+#[derive(Default)]
 pub struct Criterion {
     config: Config,
     filter: Option<String>,
     test_mode: bool,
     results: Vec<BenchResult>,
-}
-
-impl Default for Criterion {
-    fn default() -> Self {
-        Criterion {
-            config: Config::default(),
-            filter: None,
-            test_mode: false,
-            results: Vec::new(),
-        }
-    }
 }
 
 impl Criterion {
