@@ -21,7 +21,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use daosim_kernel::sync::{join_all, timeout, AdmissionClass, Elapsed};
+use daosim_kernel::sync::{join2, join_all, timeout, AdmissionClass, Elapsed};
 use daosim_kernel::{CounterHandle, HistogramHandle, MetricsRegistry, SimDuration};
 use daosim_net::Endpoint;
 use daosim_objstore::ec;
@@ -392,13 +392,7 @@ impl SimClient {
         let media = cal.rpc_cpu_cost + charge.time;
         self.d.target(t).tally.note_write(bytes);
         let service = self.target_service(t, media);
-        let mut both = join_all(vec![
-            Box::pin(async move {
-                flow.await;
-            }) as std::pin::Pin<Box<dyn std::future::Future<Output = ()>>>,
-            Box::pin(service),
-        ]);
-        (&mut both).await;
+        join2(flow, service).await;
         Ok(())
     }
 
@@ -415,13 +409,7 @@ impl SimClient {
         let media = cal.rpc_cpu_cost + self.d.target(t).media.read_time(bytes);
         self.d.target(t).tally.note_read(bytes);
         let service = self.target_service(t, media);
-        let mut both = join_all(vec![
-            Box::pin(async move {
-                flow.await;
-            }) as std::pin::Pin<Box<dyn std::future::Future<Output = ()>>>,
-            Box::pin(service),
-        ]);
-        (&mut both).await;
+        join2(flow, service).await;
         Ok(())
     }
 

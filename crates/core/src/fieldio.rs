@@ -32,12 +32,10 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::future::Future;
-use std::pin::Pin;
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use daosim_kernel::sync::join_all;
+use daosim_kernel::sync::join2;
 use daosim_kernel::AdmissionPolicy;
 use daosim_objstore::prelude::{
     DaosApi, DaosError, Event, EventQueue, ObjectClass, Oid, OidAllocator, OpOutput, Uuid,
@@ -314,12 +312,21 @@ pub struct FieldStore<D: DaosApi> {
     main: D::Cont,
     main_kv: Oid,
     alloc: RefCell<OidAllocator>,
-    /// msk canonical -> (index container, store container) handles.
-    cont_cache: RefCell<HashMap<String, ContPair<D>>>,
+    /// msk canonical -> the forecast's containers and names.
+    cont_cache: RefCell<HashMap<String, Forecast<D::Cont>>>,
 }
 
-/// Cached (index container, store container) handles for one forecast.
-type ContPair<D> = (<D as DaosApi>::Cont, <D as DaosApi>::Cont);
+/// One forecast as a process sees it, resolved once and cached: the
+/// index and store container handles, plus the md5-derived names every
+/// field operation needs (the forecast KV oid and the store-container
+/// uuid recorded in index entries).
+#[derive(Clone)]
+struct Forecast<C> {
+    index: C,
+    store: C,
+    fkv: Oid,
+    store_uuid: Uuid,
+}
 
 /// The UUID of the main container (a deployment-wide constant).
 pub fn main_container_uuid() -> Uuid {
@@ -377,19 +384,26 @@ impl<D: DaosApi> FieldStore<D> {
     }
 
     /// Opens (or creates, registering in the main KV) the forecast's
-    /// index and store containers, cached per process.
-    async fn forecast_containers(
+    /// index and store containers, cached per process together with the
+    /// forecast's KV oid and store-container uuid.
+    async fn forecast(
         &self,
         msk: &KeyPart,
         create_if_absent: bool,
-    ) -> FieldResult<(D::Cont, D::Cont)> {
+    ) -> FieldResult<Forecast<D::Cont>> {
         let mkey = msk.canonical();
-        if let Some(pair) = self.cont_cache.borrow().get(&mkey) {
-            return Ok(pair.clone());
+        if let Some(f) = self.cont_cache.borrow().get(&mkey) {
+            return Ok(f.clone());
         }
+        let fkv = self.forecast_kv_oid(msk);
         if self.cfg.mode == FieldIoMode::NoContainers {
             // Indexing layers stay; container layers collapse to main.
-            let pair = (self.main.clone(), self.main.clone());
+            let f = Forecast {
+                index: self.main.clone(),
+                store: self.main.clone(),
+                fkv,
+                store_uuid: main_container_uuid(),
+            };
             // Still register the forecast in the main KV, as the real
             // functions do (the index layering is mode-independent).
             let registered = dctx(
@@ -417,8 +431,8 @@ impl<D: DaosApi> FieldStore<D> {
                     &mkey,
                 )?;
             }
-            self.cont_cache.borrow_mut().insert(mkey, pair.clone());
-            return Ok(pair);
+            self.cont_cache.borrow_mut().insert(mkey, f.clone());
+            return Ok(f);
         }
 
         // Full mode: query the main KV for the forecast's index container.
@@ -431,7 +445,7 @@ impl<D: DaosApi> FieldStore<D> {
             "kv_get",
             &mkey,
         )?;
-        let pair = if hit.is_some() {
+        let (index, store) = if hit.is_some() {
             let index = dctx(self.client.cont_open(index_uuid).await, "cont_open", &mkey)?;
             let store = dctx(self.client.cont_open(store_uuid).await, "cont_open", &mkey)?;
             (index, store)
@@ -452,7 +466,6 @@ impl<D: DaosApi> FieldStore<D> {
                 "cont_open_or_create",
                 &mkey,
             )?;
-            let fkv = self.forecast_kv_oid(msk);
             dctx(
                 self.client
                     .kv_put(
@@ -479,20 +492,14 @@ impl<D: DaosApi> FieldStore<D> {
             )?;
             (index, store)
         };
-        self.cont_cache.borrow_mut().insert(mkey, pair.clone());
-        Ok(pair)
-    }
-
-    fn index_entry_for(&self, msk: &KeyPart, oid: Oid, len: u64) -> IndexEntry {
-        IndexEntry {
-            store_cont: if self.cfg.mode == FieldIoMode::NoContainers {
-                main_container_uuid()
-            } else {
-                Uuid::from_name(format!("cont-store:{}", msk.canonical()).as_bytes())
-            },
-            oid,
-            len,
-        }
+        let f = Forecast {
+            index,
+            store,
+            fkv,
+            store_uuid,
+        };
+        self.cont_cache.borrow_mut().insert(mkey, f.clone());
+        Ok(f)
     }
 
     /// Algorithm 1: field write.
@@ -518,7 +525,12 @@ impl<D: DaosApi> FieldStore<D> {
             return Ok(());
         }
         let (msk, lsk) = key.split(&self.cfg.schema);
-        let (index, store) = self.forecast_containers(&msk, true).await?;
+        let Forecast {
+            index,
+            store,
+            fkv,
+            store_uuid,
+        } = self.forecast(&msk, true).await?;
         // Write the field into a brand-new Array in the store container.
         let oid = self.alloc.borrow_mut().next(self.cfg.array_class);
         let len = data.len() as u64;
@@ -535,8 +547,11 @@ impl<D: DaosApi> FieldStore<D> {
         dctx(self.client.array_close(&store, h).await, "array_close", &kc)?;
         // Index it in the forecast KV (re-writes re-point the entry; the
         // previous array is de-referenced but never deleted).
-        let entry = self.index_entry_for(&msk, oid, len);
-        let fkv = self.forecast_kv_oid(&msk);
+        let entry = IndexEntry {
+            store_cont: store_uuid,
+            oid,
+            len,
+        };
         dctx(
             self.client
                 .kv_put(&index, fkv, lsk.canonical().as_bytes(), entry.encode())
@@ -578,8 +593,9 @@ impl<D: DaosApi> FieldStore<D> {
             return Ok(data);
         }
         let (msk, lsk) = key.split(&self.cfg.schema);
-        let (index, store) = self.forecast_containers(&msk, false).await?;
-        let fkv = self.forecast_kv_oid(&msk);
+        let Forecast {
+            index, store, fkv, ..
+        } = self.forecast(&msk, false).await?;
         let raw = dctx(
             self.client
                 .kv_get(&index, fkv, lsk.canonical().as_bytes())
@@ -616,8 +632,9 @@ impl<D: DaosApi> FieldStore<D> {
         }
         let (msk, _) = forecast.split(&self.cfg.schema);
         let mkey = msk.canonical();
-        let (index, store) = self.forecast_containers(&msk, false).await?;
-        let fkv = self.forecast_kv_oid(&msk);
+        let Forecast {
+            index, store, fkv, ..
+        } = self.forecast(&msk, false).await?;
         // Collect the oids the index still references.
         let mut live: std::collections::HashSet<Oid> = std::collections::HashSet::new();
         for k in dctx(
@@ -683,8 +700,9 @@ impl<D: DaosApi> FieldStore<D> {
         }
         let (msk, _) = forecast.split(&self.cfg.schema);
         let mkey = msk.canonical();
-        let (index, store) = self.forecast_containers(&msk, false).await?;
-        let fkv = self.forecast_kv_oid(&msk);
+        let Forecast {
+            index, store, fkv, ..
+        } = self.forecast(&msk, false).await?;
         let keys = dctx(
             self.client
                 .kv_list_range(&index, fkv, Bytes::from_static(FIELD_KEYS_FROM), None)
@@ -726,8 +744,7 @@ impl<D: DaosApi> FieldStore<D> {
             ));
         }
         let (msk, _) = forecast.split(&self.cfg.schema);
-        let (index, _) = self.forecast_containers(&msk, false).await?;
-        let fkv = self.forecast_kv_oid(&msk);
+        let Forecast { index, fkv, .. } = self.forecast(&msk, false).await?;
         let keys = dctx(
             self.client
                 .kv_list_range(&index, fkv, Bytes::from_static(FIELD_KEYS_FROM), None)
@@ -778,28 +795,32 @@ impl<D: DaosApi> FieldStore<D> {
             }));
         }
         let (msk, lsk) = key.split(&self.cfg.schema);
-        let (index, store) = self.forecast_containers(&msk, true).await?;
+        let Forecast {
+            index,
+            store,
+            fkv,
+            store_uuid,
+        } = self.forecast(&msk, true).await?;
         let oid = self.alloc.borrow_mut().next(self.cfg.array_class);
-        let entry = self.index_entry_for(&msk, oid, data.len() as u64);
-        let fkv = self.forecast_kv_oid(&msk);
+        let entry = IndexEntry {
+            store_cont: store_uuid,
+            oid,
+            len: data.len() as u64,
+        };
         let lsk_bytes = lsk.canonical().into_bytes();
         Ok(eq.submit(async move {
             let h = client.array_create(&store, oid).await?;
             // The field's Array data write and its index KV update have
             // no mutual ordering constraint: overlap them.
-            let data_client = client.clone();
-            let data_store = store.clone();
-            let data_branch: Pin<Box<dyn Future<Output = Result<(), DaosError>>>> =
-                Box::pin(async move {
-                    data_client.array_write(&data_store, &h, 0, data).await?;
-                    data_client.array_close(&data_store, h).await
-                });
-            let index_branch: Pin<Box<dyn Future<Output = Result<(), DaosError>>>> = Box::pin(
-                async move { client.kv_put(&index, fkv, &lsk_bytes, entry.encode()).await },
-            );
-            for r in join_all(vec![data_branch, index_branch]).await {
-                r?;
-            }
+            let data_branch = async {
+                client.array_write(&store, &h, 0, data).await?;
+                client.array_close(&store, h).await
+            };
+            let index_branch =
+                async { client.kv_put(&index, fkv, &lsk_bytes, entry.encode()).await };
+            let (data_done, index_done) = join2(data_branch, index_branch).await;
+            data_done?;
+            index_done?;
             Ok(OpOutput::Unit)
         }))
     }
@@ -879,8 +900,9 @@ impl<D: DaosApi> FieldStore<D> {
             }));
         }
         let (msk, lsk) = key.split(&self.cfg.schema);
-        let (index, store) = self.forecast_containers(&msk, false).await?;
-        let fkv = self.forecast_kv_oid(&msk);
+        let Forecast {
+            index, store, fkv, ..
+        } = self.forecast(&msk, false).await?;
         let lsk_bytes = lsk.canonical().into_bytes();
         Ok(eq.submit(async move {
             let raw = client

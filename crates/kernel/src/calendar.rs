@@ -38,6 +38,15 @@
 //! slot's base time and re-inserts its entries, which land at strictly
 //! lower levels (they now share the slot field with the clock) — the
 //! cascade terminates in at most [`LEVELS`] rounds per entry.
+//!
+//! # Slot buffers are reused
+//!
+//! A drained slot keeps its `Vec`: a level-0 slot trades buffers with
+//! the (empty) due batch, and a cascaded slot gets its own buffer back
+//! once its entries are re-filed, since they all land lower. Pushing
+//! into a slot that has been used before therefore does not allocate.
+//! A buffer grown past [`KEEP_CAPACITY`] by a burst is freed instead, so
+//! the memory the wheel keeps stays bounded by a fixed constant.
 
 use std::collections::BTreeMap;
 
@@ -50,6 +59,9 @@ const SLOTS: usize = 1 << SLOT_BITS;
 const LEVELS: usize = 6;
 /// First deadline distance (as `at ^ now`) that no longer fits the wheel.
 const HORIZON: u64 = 1 << (SLOT_BITS as u64 * LEVELS as u64);
+/// Largest capacity (in entries) an emptied slot buffer keeps; bigger
+/// buffers are freed when their slot drains.
+const KEEP_CAPACITY: usize = 16;
 
 /// One calendar entry.
 struct Entry<T> {
@@ -207,12 +219,14 @@ impl<T> TimerWheel<T> {
                 continue;
             };
             let slot = self.occupied[level].trailing_zeros() as usize;
-            let entries = std::mem::take(&mut self.levels[level][slot]);
             self.occupied[level] &= !(1 << slot);
             if level == 0 {
                 // One-nanosecond slot: all entries share `at`. Drain it
-                // as the due batch, min seq popping first.
-                self.due = entries;
+                // as the due batch, min seq popping first. The (empty)
+                // previous due buffer takes the slot's place, so neither
+                // side reallocates on the next push.
+                let spare = Self::keepable(std::mem::take(&mut self.due));
+                self.due = std::mem::replace(&mut self.levels[0][slot], spare);
                 self.due.sort_unstable_by_key(|e| std::cmp::Reverse(e.seq));
                 let e = self.due.pop().expect("occupied slot is non-empty");
                 self.now = e.at;
@@ -228,9 +242,27 @@ impl<T> TimerWheel<T> {
                 (self.now >> (width + SLOT_BITS) << (width + SLOT_BITS)) | ((slot as u64) << width);
             debug_assert!(base >= self.now);
             self.now = base;
-            for e in entries {
+            let mut entries = std::mem::take(&mut self.levels[level][slot]);
+            for e in entries.drain(..) {
                 self.insert_wheel(e.at, e.seq, e.item);
             }
+            // Every entry landed strictly lower, so the slot is still
+            // empty: hand its buffer back.
+            debug_assert!(self.levels[level][slot].is_empty());
+            self.levels[level][slot] = Self::keepable(entries);
+        }
+    }
+
+    /// An emptied slot buffer worth keeping for reuse: small ones are
+    /// kept (a slot refills at most once per rotation, so reallocating
+    /// it is pure churn), while one a rare burst grew past
+    /// [`KEEP_CAPACITY`] is released so peak memory stays bounded.
+    fn keepable(buf: Vec<Entry<T>>) -> Vec<Entry<T>> {
+        debug_assert!(buf.is_empty());
+        if buf.capacity() > KEEP_CAPACITY {
+            Vec::new()
+        } else {
+            buf
         }
     }
 

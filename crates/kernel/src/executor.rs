@@ -15,13 +15,22 @@
 //! dedup through one atomic flag per task instead of a hash-set insert
 //! under the queue mutex (see DESIGN.md §8).
 //!
+//! Timers live in a second generational slab, beside the kernel rather
+//! than inside it. A [`Sleep`], a `sync::timeout` deadline or a
+//! [`TimerHandle`] owns one slot, and its calendar entry names the slot
+//! and the generation it was armed under. Firing or disarming releases
+//! the slot and bumps its generation, so a stale entry is recognised as
+//! a tombstone and never fires. Sleeping allocates nothing once the slab
+//! and the wheel's slot buffers have warmed up; a cancellable action
+//! costs the one box that holds it.
+//!
 //! The order in which *ready* tasks are polled within one instant is a
 //! [`SchedPolicy`]. The default ([`SchedPolicy::Fifo`]) preserves the
 //! historical wake order bit-for-bit; the other policies perturb it
 //! deterministically from a seed so schedule-invariance can be fuzzed
 //! (see DESIGN.md §7).
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
@@ -56,22 +65,108 @@ impl TaskId {
 type TaskFuture = Pin<Box<dyn Future<Output = ()> + 'static>>;
 type EventAction = Box<dyn FnOnce() + 'static>;
 
-/// What a calendar entry runs when it fires. Cancellable entries share
-/// their action cell with a [`TimerHandle`]; an emptied cell means the
-/// event was cancelled and the entry is discarded *without* advancing
-/// simulated time (a cancelled deadline leaves no trace on the clock).
+/// What a calendar entry runs when it fires. Timer entries name a slot
+/// of the [`Timers`] slab; once that slot's generation has moved on (the
+/// sleep was dropped, the handle cancelled) the entry is a tombstone and
+/// is discarded *without* advancing simulated time (a cancelled deadline
+/// leaves no trace on the clock).
 enum CalendarAction {
     Fixed(EventAction),
-    Cancellable(Rc<RefCell<Option<EventAction>>>),
+    Timer(TimerKey),
 }
 
 impl CalendarAction {
     /// A cancelled entry still sitting in the calendar (a tombstone).
-    fn is_dead(&self) -> bool {
+    fn is_dead(&self, timers: &Timers) -> bool {
         match self {
             CalendarAction::Fixed(_) => false,
-            CalendarAction::Cancellable(cell) => cell.borrow().is_none(),
+            CalendarAction::Timer(key) => !timers.is_armed(*key),
         }
+    }
+}
+
+/// A timer slot and the generation it was armed under.
+#[derive(Clone, Copy)]
+struct TimerKey {
+    slot: u32,
+    gen: u32,
+}
+
+/// What an armed timer slot does when its deadline fires.
+enum TimerState {
+    /// The slot is on the free list.
+    Free,
+    /// A [`Sleep`] (or a `sync::timeout` deadline): the waker to call,
+    /// once the sleep has been polled.
+    Wake(Option<Waker>),
+    /// A [`TimerHandle`]'s action.
+    Action(EventAction),
+}
+
+struct TimerSlot {
+    gen: u32,
+    state: TimerState,
+}
+
+/// The timer slab: one slot per armed sleep or cancellable action,
+/// reused through a free list with a bumped generation, so arming a
+/// sleep allocates nothing once the slab has grown to the peak number
+/// of pending timers. It sits in its own `RefCell` beside the kernel:
+/// dropping a `Sleep` or cancelling a `TimerHandle` touches only this
+/// slab, never the kernel, so it is safe while the run loop (or a
+/// compaction) holds the kernel borrow. Slot state that could run code
+/// on drop (a waker, an action) always leaves the slab before it is
+/// dropped or called.
+#[derive(Default)]
+struct Timers {
+    slots: Vec<TimerSlot>,
+    free: Vec<u32>,
+    /// Calendar entries whose slot was released before they fired
+    /// (tombstones not yet discarded or compacted away).
+    dead: usize,
+}
+
+impl Timers {
+    fn arm(&mut self, state: TimerState) -> TimerKey {
+        match self.free.pop() {
+            Some(slot) => {
+                let s = &mut self.slots[slot as usize];
+                s.state = state;
+                TimerKey { slot, gen: s.gen }
+            }
+            None => {
+                self.slots.push(TimerSlot { gen: 0, state });
+                TimerKey {
+                    slot: (self.slots.len() - 1) as u32,
+                    gen: 0,
+                }
+            }
+        }
+    }
+
+    /// True while the timer has neither fired nor been disarmed.
+    fn is_armed(&self, key: TimerKey) -> bool {
+        self.slots[key.slot as usize].gen == key.gen
+    }
+
+    /// Frees the slot (bumping its generation, which kills every calendar
+    /// entry and handle naming the old one) and returns what it held.
+    fn release(&mut self, slot: u32) -> TimerState {
+        let s = &mut self.slots[slot as usize];
+        s.gen = s.gen.wrapping_add(1);
+        self.free.push(slot);
+        std::mem::replace(&mut s.state, TimerState::Free)
+    }
+
+    /// Releases an armed timer before its deadline, counting the
+    /// tombstone its calendar entry leaves behind. The caller drops the
+    /// returned state after letting go of the slab.
+    fn disarm(&mut self, key: TimerKey) -> Option<TimerState> {
+        if !self.is_armed(key) {
+            return None;
+        }
+        self.dead += 1;
+        Some(self.release(key.slot))
     }
 }
 
@@ -181,9 +276,6 @@ struct Kernel {
     seq: u64,
     next_ordinal: u64,
     events: TimerWheel<CalendarAction>,
-    /// Cancelled-but-still-scheduled calendar entries; shared with every
-    /// [`TimerHandle`] so `cancel()` can count its tombstone.
-    dead_timers: Rc<Cell<usize>>,
     /// The task arena. Freed slots go on `free_slots` and are reused
     /// with a bumped generation.
     slab: Vec<TaskSlot>,
@@ -207,12 +299,25 @@ impl Kernel {
     /// Compacts cancelled timers out of the calendar once they are both
     /// numerous (so small sims never bother) and the majority of it.
     /// Called from the schedule paths, where the calendar grows.
-    fn maybe_compact(&mut self) {
-        let dead = self.dead_timers.get();
+    fn maybe_compact(&mut self, timers: &mut Timers) {
+        let dead = timers.dead;
         if dead > 64 && dead * 2 > self.events.len() {
-            let removed = self.events.compact(CalendarAction::is_dead);
-            self.dead_timers.set(dead.saturating_sub(removed));
+            let removed = self.events.compact(|e| e.is_dead(timers));
+            timers.dead = dead.saturating_sub(removed);
         }
+    }
+
+    /// Files `action` at `at` with a fresh sequence number.
+    fn push(&mut self, at: SimTime, timers: &mut Timers, action: CalendarAction) {
+        assert!(
+            at >= self.now,
+            "cannot schedule into the past: {at} < {}",
+            self.now
+        );
+        self.maybe_compact(timers);
+        let seq = self.seq;
+        self.seq += 1;
+        self.events.push(at.as_nanos(), seq, action);
     }
 }
 
@@ -244,6 +349,7 @@ impl RunOutcome {
 #[derive(Clone)]
 pub struct Sim {
     kernel: Rc<RefCell<Kernel>>,
+    timers: Rc<RefCell<Timers>>,
     wakes: Arc<WakeQueue>,
     obs: Rc<Obs>,
 }
@@ -272,7 +378,6 @@ impl Sim {
                 seq: 0,
                 next_ordinal: 0,
                 events: TimerWheel::new(),
-                dead_timers: Rc::new(Cell::new(0)),
                 slab: Vec::new(),
                 free_slots: Vec::new(),
                 live: 0,
@@ -280,6 +385,7 @@ impl Sim {
                 policy,
                 sched_rng,
             })),
+            timers: Rc::default(),
             wakes: Arc::new(WakeQueue::default()),
             obs: Rc::new(Obs::default()),
         }
@@ -378,23 +484,25 @@ impl Sim {
     /// Schedules `action` to run at absolute time `at`. Actions scheduled
     /// for the same instant run in scheduling order.
     pub fn schedule_at(&self, at: SimTime, action: impl FnOnce() + 'static) {
-        let mut k = self.kernel.borrow_mut();
-        assert!(
-            at >= k.now,
-            "cannot schedule into the past: {at} < {}",
-            k.now
-        );
-        k.maybe_compact();
-        let seq = k.seq;
-        k.seq += 1;
-        k.events
-            .push(at.as_nanos(), seq, CalendarAction::Fixed(Box::new(action)));
+        let mut timers = self.timers.borrow_mut();
+        self.kernel
+            .borrow_mut()
+            .push(at, &mut timers, CalendarAction::Fixed(Box::new(action)));
     }
 
     /// Schedules `action` to run after `delay`.
     pub fn schedule_after(&self, delay: SimDuration, action: impl FnOnce() + 'static) {
         let at = self.now() + delay;
         self.schedule_at(at, action);
+    }
+
+    /// Arms a timer slot holding `state` and files its calendar entry.
+    fn arm_timer(&self, at: SimTime, state: TimerState) -> TimerKey {
+        let mut timers = self.timers.borrow_mut();
+        let mut k = self.kernel.borrow_mut();
+        let key = timers.arm(state);
+        k.push(at, &mut timers, CalendarAction::Timer(key));
+        key
     }
 
     /// Schedules `action` at `at` and returns a handle that can cancel it.
@@ -410,32 +518,19 @@ impl Sim {
     /// closure into the calendar per reschedule. Tombstones of cancelled
     /// entries are counted and compacted away once they outnumber the
     /// live half of the calendar, so cancellation-heavy workloads (e.g.
-    /// a timeout cancelled per successful attempt) stay bounded.
+    /// a timeout cancelled per successful attempt) stay bounded. The
+    /// action lives in a timer-slab slot, so arming costs one allocation
+    /// (the boxed action) once the slab has warmed up.
     pub fn schedule_cancellable_at(
         &self,
         at: SimTime,
         action: impl FnOnce() + 'static,
     ) -> TimerHandle {
-        let shared: Rc<RefCell<Option<EventAction>>> =
-            Rc::new(RefCell::new(Some(Box::new(action))));
-        let mut k = self.kernel.borrow_mut();
-        assert!(
-            at >= k.now,
-            "cannot schedule into the past: {at} < {}",
-            k.now
-        );
-        k.maybe_compact();
-        let seq = k.seq;
-        k.seq += 1;
-        k.events.push(
-            at.as_nanos(),
-            seq,
-            CalendarAction::Cancellable(Rc::clone(&shared)),
-        );
+        let key = self.arm_timer(at, TimerState::Action(Box::new(action)));
         TimerHandle {
             at,
-            shared,
-            dead: Rc::clone(&k.dead_timers),
+            key,
+            timers: Rc::clone(&self.timers),
         }
     }
 
@@ -451,22 +546,14 @@ impl Sim {
     /// Suspends the calling task for `delay` of simulated time. The
     /// wakeup is a cancellable calendar entry: dropping the `Sleep`
     /// (e.g. when a `timeout` or `race` abandons it) disarms the entry,
-    /// so abandoned sleeps leave no trace on the simulation clock.
+    /// so abandoned sleeps leave no trace on the simulation clock. A
+    /// sleep is a timer-slab slot plus a calendar entry and allocates
+    /// nothing once the slab and the wheel's slot buffers have warmed up.
     pub fn sleep(&self, delay: SimDuration) -> Sleep {
-        let shared = Rc::new(SleepShared {
-            fired: Cell::new(false),
-            waker: RefCell::new(None),
-        });
-        let s2 = Rc::clone(&shared);
-        let timer = self.schedule_cancellable_after(delay, move || {
-            s2.fired.set(true);
-            if let Some(w) = s2.waker.borrow_mut().take() {
-                w.wake();
-            }
-        });
+        let key = self.arm_timer(self.now() + delay, TimerState::Wake(None));
         Sleep {
-            shared,
-            timer: Some(timer),
+            key,
+            timers: Rc::clone(&self.timers),
         }
     }
 
@@ -479,47 +566,45 @@ impl Sim {
             self.poll_ready();
             let next = {
                 let mut k = self.kernel.borrow_mut();
-                let Kernel {
-                    events,
-                    dead_timers,
-                    ..
-                } = &mut *k;
+                let mut timers = self.timers.borrow_mut();
                 // Cancelled entries are discarded inside the wheel,
                 // without advancing the clock the simulation observes —
                 // a cancelled deadline leaves no trace on the run.
-                let popped = events.pop_next_alive(|entry| {
-                    let dead = entry.is_dead();
+                let popped = k.events.pop_next_alive(|entry| {
+                    let dead = entry.is_dead(&timers);
                     if dead {
-                        dead_timers.set(dead_timers.get().saturating_sub(1));
+                        timers.dead = timers.dead.saturating_sub(1);
                     }
                     dead
                 });
                 match popped {
                     Some((at, _seq, entry)) => {
-                        let action = match entry {
-                            CalendarAction::Fixed(a) => a,
-                            // Take before calling: the action must not
-                            // observe the cell as borrowed (it may
-                            // inspect or re-arm its timer).
-                            CalendarAction::Cancellable(cell) => {
-                                let taken = cell.borrow_mut().take();
-                                taken.expect("liveness was checked in the wheel")
-                            }
+                        // A timer's slot is released before its action
+                        // runs: the action may inspect or re-arm its
+                        // handle, and must see it as no longer armed.
+                        let fire = match entry {
+                            CalendarAction::Fixed(a) => TimerState::Action(a),
+                            CalendarAction::Timer(key) => timers.release(key.slot),
                         };
                         let at = SimTime::from_nanos(at);
                         debug_assert!(at >= k.now);
                         k.now = at;
-                        Some((at, action))
+                        Some((at, fire))
                     }
                     None => None,
                 }
             };
             match next {
-                Some((at, action)) => {
+                Some((at, fire)) => {
                     // Keep the tracer's clock mirror in step so span
                     // probes never need to borrow the kernel.
                     self.obs.set_now(at.as_nanos());
-                    action()
+                    match fire {
+                        TimerState::Action(action) => action(),
+                        TimerState::Wake(Some(waker)) => waker.wake(),
+                        TimerState::Wake(None) => {}
+                        TimerState::Free => unreachable!("liveness was checked in the wheel"),
+                    }
                 }
                 None => break,
             }
@@ -687,10 +772,8 @@ impl Sim {
 /// [`TimerHandle::cancel`].
 pub struct TimerHandle {
     at: SimTime,
-    shared: Rc<RefCell<Option<EventAction>>>,
-    /// The kernel's tombstone counter; cancelling bumps it so the
-    /// calendar knows when compaction is worthwhile.
-    dead: Rc<Cell<usize>>,
+    key: TimerKey,
+    timers: Rc<RefCell<Timers>>,
 }
 
 impl TimerHandle {
@@ -701,57 +784,56 @@ impl TimerHandle {
 
     /// True while the action has neither fired nor been cancelled.
     pub fn is_armed(&self) -> bool {
-        self.shared.borrow().is_some()
+        self.timers.borrow().is_armed(self.key)
     }
 
     /// Cancels the event, dropping its action immediately. Idempotent;
     /// returns whether the action was still pending.
     pub fn cancel(&self) -> bool {
-        let was_armed = self.shared.borrow_mut().take().is_some();
-        if was_armed {
-            self.dead.set(self.dead.get() + 1);
-        }
-        was_armed
+        let action = self.timers.borrow_mut().disarm(self.key);
+        action.is_some()
     }
-}
-
-struct SleepShared {
-    fired: Cell<bool>,
-    waker: RefCell<Option<Waker>>,
 }
 
 /// Future returned by [`Sim::sleep`]. Dropping it before the deadline
 /// cancels the underlying calendar entry.
 pub struct Sleep {
-    shared: Rc<SleepShared>,
-    timer: Option<TimerHandle>,
+    key: TimerKey,
+    timers: Rc<RefCell<Timers>>,
 }
 
 impl Future for Sleep {
     type Output = ();
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.shared.fired.get() {
-            self.timer = None;
-            Poll::Ready(())
-        } else {
-            *self.shared.waker.borrow_mut() = Some(cx.waker().clone());
-            Poll::Pending
-        }
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let replaced = {
+            let mut timers = self.timers.borrow_mut();
+            if !timers.is_armed(self.key) {
+                // Fired (the slot was released and may already serve
+                // another timer under a newer generation).
+                return Poll::Ready(());
+            }
+            match &mut timers.slots[self.key.slot as usize].state {
+                TimerState::Wake(w) if w.as_ref().is_some_and(|w| w.will_wake(cx.waker())) => None,
+                TimerState::Wake(w) => w.replace(cx.waker().clone()),
+                _ => unreachable!("a sleep's slot holds a waker"),
+            }
+        };
+        drop(replaced);
+        Poll::Pending
     }
 }
 
 impl Drop for Sleep {
     fn drop(&mut self) {
-        if let Some(t) = self.timer.take() {
-            t.cancel();
-        }
+        let waker = self.timers.borrow_mut().disarm(self.key);
+        drop(waker);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
     #[test]
@@ -913,21 +995,37 @@ mod tests {
     /// cancellation-heavy retry pattern (arm a timeout, succeed, cancel
     /// — the RetryPolicy shape) the calendar grew without bound in the
     /// timeout horizon. Compaction now caps tombstones at roughly the
-    /// live entry count.
+    /// live entry count, whichever way a timer dies: a cancelled handle,
+    /// a dropped sleep, or the deadline of a `timeout` whose future won.
     #[test]
     fn cancellation_storm_is_compacted_out_of_the_calendar() {
         let sim = Sim::new();
         let s = sim.clone();
         sim.spawn(async move {
-            for _ in 0..10_000u32 {
-                // Arm a far-future timeout, make one unit of progress,
-                // then cancel the timeout — the per-attempt pattern of
+            let far = SimDuration::from_secs(30);
+            let step = SimDuration::from_nanos(50);
+            for i in 0..15_000u32 {
+                // Arm a far-future deadline, make one unit of progress,
+                // then abandon the deadline — the per-attempt pattern of
                 // a retrying RPC client.
-                let timeout = s.schedule_cancellable_after(SimDuration::from_secs(30), || {
-                    panic!("timeout must never fire");
-                });
-                s.sleep(SimDuration::from_nanos(50)).await;
-                timeout.cancel();
+                match i % 3 {
+                    0 => {
+                        let timeout = s.schedule_cancellable_after(far, || {
+                            panic!("timeout must never fire");
+                        });
+                        s.sleep(step).await;
+                        timeout.cancel();
+                    }
+                    1 => {
+                        let abandoned = s.sleep(far);
+                        s.sleep(step).await;
+                        drop(abandoned);
+                    }
+                    _ => {
+                        let won = crate::sync::timeout(&s, far, s.sleep(step)).await;
+                        assert!(won.is_ok());
+                    }
+                }
                 // The calendar must stay bounded: at most the live
                 // entries (one sleep in flight) plus a tombstone
                 // fraction below the compaction threshold.
@@ -938,7 +1036,41 @@ mod tests {
                 );
             }
         });
-        sim.run().expect_quiescent();
+        // No abandoned deadline stretches the run.
+        let end = sim.run().expect_quiescent();
+        assert_eq!(end.as_nanos(), 15_000 * 50);
+    }
+
+    /// A sleep dropped before its deadline frees its timer slot at once.
+    /// The next sleep reuses the slot under a new generation, whether
+    /// its deadline equals the stale entry's or comes later. Each new
+    /// sleeper wakes exactly at its own deadline, and the stale entry
+    /// neither fires nor advances the clock.
+    #[test]
+    fn dropped_sleep_slot_is_reused_without_firing_its_stale_entry() {
+        let sim = Sim::new();
+        let woke: Rc<RefCell<Vec<u64>>> = Rc::default();
+        let (s, log) = (sim.clone(), Rc::clone(&woke));
+        sim.spawn(async move {
+            for (stale_ns, fresh_ns) in [(500, 500), (1_000, 2_000)] {
+                let t0 = s.now().as_nanos();
+                let stale = s.sleep(SimDuration::from_nanos(stale_ns));
+                let stale_key = stale.key;
+                drop(stale);
+                let fresh = s.sleep(SimDuration::from_nanos(fresh_ns));
+                assert_eq!(fresh.key.slot, stale_key.slot, "slot reused at once");
+                assert_ne!(fresh.key.gen, stale_key.gen);
+                fresh.await;
+                assert_eq!(s.now().as_nanos(), t0 + fresh_ns);
+                log.borrow_mut().push(s.now().as_nanos());
+            }
+            // A last abandoned deadline far beyond everything else.
+            drop(s.sleep(SimDuration::from_secs(1)));
+        });
+        let end = sim.run().expect_quiescent();
+        assert_eq!(*woke.borrow(), vec![500, 2_500]);
+        assert_eq!(end.as_nanos(), 2_500, "a stale entry advanced the clock");
+        assert_eq!(sim.pending_events(), 0);
     }
 
     /// A future that pends until `done` is set, recording every poll and

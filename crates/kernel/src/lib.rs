@@ -7,8 +7,8 @@
 //! * [`Sim`] — an event calendar plus a single-threaded async executor, so
 //!   modelled processes are written as plain `async fn`s,
 //! * FIFO [`sync::Semaphore`], MPI-style [`sync::Barrier`], one-shot
-//!   completions, channels, [`sync::join_all`], [`sync::race`] and
-//!   [`sync::WaitGroup`],
+//!   completions, channels, [`sync::join_all`], [`sync::join2`],
+//!   [`sync::race`] and [`sync::WaitGroup`],
 //! * [`rng::stream_rng`] — per-component deterministic random streams.
 //!
 //! Determinism contract: given the same program and seed, a simulation

@@ -472,6 +472,21 @@ impl Future for PrioAcquire {
         let inner = &this.sem.inner;
         let seq = inner.next_seq.get();
         inner.next_seq.set(seq + 1);
+        if this.n <= inner.permits.get() && inner.head(0).is_none() && inner.head(1).is_none() {
+            // Uncontended: `drain()` would grant this lone waiter on the
+            // spot. Apply exactly its bookkeeping without queueing one.
+            inner.permits.set(inner.permits.get() - this.n);
+            if let AdmissionPolicy::WriterPriority { aging } = inner.policy {
+                if this.class == AdmissionClass::Normal && inner.credit.get() >= aging.max(1) {
+                    inner.aged_grants.set(inner.aged_grants.get() + 1);
+                }
+                inner.credit.set(0);
+            }
+            return Poll::Ready(PrioPermit {
+                sem: this.sem.clone(),
+                n: this.n,
+            });
+        }
         let waiter = Rc::new(PrioWaiter {
             n: this.n,
             seq,
@@ -485,9 +500,8 @@ impl Future for PrioAcquire {
             .push_back(Rc::clone(&waiter));
         inner.drain();
         if waiter.granted.get() {
-            // Drained synchronously (uncontended, or an urgent arrival
-            // admitted past a blocked normal head): no wake round-trip,
-            // matching the plain semaphore's fast path.
+            // Drained synchronously (an urgent arrival admitted past a
+            // blocked normal head): no wake round-trip.
             return Poll::Ready(PrioPermit {
                 sem: this.sem.clone(),
                 n: this.n,
@@ -823,6 +837,70 @@ impl<F: Future> Future for JoinAll<F> {
     }
 }
 
+/// Drives two futures concurrently within one task and resolves with both
+/// outputs — [`join_all`] for a fixed pair, without its `Vec` and boxes.
+/// Each poll polls the left future, then the right, skipping a finished
+/// one, which is the order `join_all` polls its slots in.
+pub fn join2<A: Future, B: Future>(a: A, b: B) -> Join2<A, B> {
+    Join2 {
+        a: JoinHalf::Pending(a),
+        b: JoinHalf::Pending(b),
+    }
+}
+
+enum JoinHalf<F: Future> {
+    Pending(F),
+    Done(Option<F::Output>),
+}
+
+impl<F: Future> JoinHalf<F> {
+    /// Polls a pending half; true once its output is in.
+    fn poll_half(self: Pin<&mut Self>, cx: &mut Context<'_>) -> bool {
+        // SAFETY: a pending future is never moved out of its half. It is
+        // polled where it lies and, once ready, dropped in place when the
+        // half is overwritten with its output; the output itself is not
+        // pinned.
+        let this = unsafe { self.get_unchecked_mut() };
+        if let JoinHalf::Pending(f) = this {
+            // SAFETY: `f` stays inside the pinned half, as argued above.
+            match unsafe { Pin::new_unchecked(f) }.poll(cx) {
+                Poll::Ready(v) => *this = JoinHalf::Done(Some(v)),
+                Poll::Pending => return false,
+            }
+        }
+        true
+    }
+
+    fn take(&mut self) -> F::Output {
+        match self {
+            JoinHalf::Done(v) => v.take().expect("join2 polled after completion"),
+            JoinHalf::Pending(_) => unreachable!(),
+        }
+    }
+}
+
+/// Future returned by [`join2`].
+pub struct Join2<A: Future, B: Future> {
+    a: JoinHalf<A>,
+    b: JoinHalf<B>,
+}
+
+impl<A: Future, B: Future> Future for Join2<A, B> {
+    type Output = (A::Output, B::Output);
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        // SAFETY: structural pinning of the two halves: `Join2` never
+        // moves them, and `take` only moves an output out of a finished one.
+        let this = unsafe { self.get_unchecked_mut() };
+        let a_done = unsafe { Pin::new_unchecked(&mut this.a) }.poll_half(cx);
+        let b_done = unsafe { Pin::new_unchecked(&mut this.b) }.poll_half(cx);
+        if a_done && b_done {
+            Poll::Ready((this.a.take(), this.b.take()))
+        } else {
+            Poll::Pending
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // race / WaitGroup
 // ---------------------------------------------------------------------------
@@ -877,21 +955,9 @@ pub fn timeout<F: Future>(
     limit: crate::time::SimDuration,
     fut: F,
 ) -> Timeout<F> {
-    let shared = Rc::new(TimeoutShared {
-        fired: Cell::new(false),
-        waker: RefCell::new(None),
-    });
-    let s2 = Rc::clone(&shared);
-    let timer = sim.schedule_cancellable_after(limit, move || {
-        s2.fired.set(true);
-        if let Some(w) = s2.waker.borrow_mut().take() {
-            w.wake();
-        }
-    });
     Timeout {
         fut: Box::pin(fut),
-        timer: Some(timer),
-        shared,
+        deadline: Some(sim.sleep(limit)),
     }
 }
 
@@ -899,15 +965,11 @@ pub fn timeout<F: Future>(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Elapsed;
 
-struct TimeoutShared {
-    fired: Cell<bool>,
-    waker: RefCell<Option<Waker>>,
-}
-
 pub struct Timeout<F: Future> {
     fut: Pin<Box<F>>,
-    timer: Option<crate::executor::TimerHandle>,
-    shared: Rc<TimeoutShared>,
+    /// The deadline, a slab timer like any [`crate::Sleep`]; dropping
+    /// it disarms the calendar entry.
+    deadline: Option<crate::executor::Sleep>,
 }
 
 impl<F: Future> Future for Timeout<F> {
@@ -916,23 +978,17 @@ impl<F: Future> Future for Timeout<F> {
         // The wrapped future gets the first look, so a same-instant
         // completion beats the deadline (left-biased, like `race`).
         if let Poll::Ready(v) = self.fut.as_mut().poll(cx) {
-            if let Some(t) = self.timer.take() {
-                t.cancel();
-            }
+            self.deadline = None;
             return Poll::Ready(Ok(v));
         }
-        if self.shared.fired.get() {
-            return Poll::Ready(Err(Elapsed));
-        }
-        *self.shared.waker.borrow_mut() = Some(cx.waker().clone());
-        Poll::Pending
-    }
-}
-
-impl<F: Future> Drop for Timeout<F> {
-    fn drop(&mut self) {
-        if let Some(t) = self.timer.take() {
-            t.cancel();
+        let elapsed = match self.deadline.as_mut() {
+            Some(d) => Pin::new(d).poll(cx).is_ready(),
+            None => true,
+        };
+        if elapsed {
+            Poll::Ready(Err(Elapsed))
+        } else {
+            Poll::Pending
         }
     }
 }
@@ -1250,6 +1306,42 @@ mod tests {
     }
 
     #[test]
+    fn uncontended_grant_keeps_the_aging_bookkeeping() {
+        // The queue-free grant must count exactly what `drain()` counts
+        // for a lone waiter: here the credit an urgent grant earned past
+        // a normal waiter outlives that waiter's cancellation, so the
+        // next (uncontended) normal grant is an aged one.
+        let sem = PrioritySemaphore::new(1, AdmissionPolicy::WriterPriority { aging: 1 });
+        let mut cx = Context::from_waker(Waker::noop());
+        let mut poll = |acq: &mut PrioAcquire| Pin::new(acq).poll(&mut cx);
+        let Poll::Ready(first) = poll(&mut sem.acquire_one(AdmissionClass::Urgent)) else {
+            panic!("uncontended urgent acquire pends");
+        };
+        let mut normal = sem.acquire_one(AdmissionClass::Normal);
+        let mut urgent = sem.acquire_one(AdmissionClass::Urgent);
+        assert!(poll(&mut normal).is_pending());
+        assert!(poll(&mut urgent).is_pending());
+        drop(first); // urgent jumps the normal waiter: credit 1
+        let Poll::Ready(second) = poll(&mut urgent) else {
+            panic!("urgent waiter not granted");
+        };
+        drop(normal);
+        drop(second);
+        assert_eq!(
+            (sem.queue_len(), sem.available(), sem.aged_grants()),
+            (0, 1, 0)
+        );
+        let Poll::Ready(third) = poll(&mut sem.acquire_one(AdmissionClass::Normal)) else {
+            panic!("uncontended normal acquire pends");
+        };
+        assert_eq!(sem.aged_grants(), 1);
+        drop(third);
+        // The credit was reset: the next normal grant is not aged.
+        drop(poll(&mut sem.acquire_one(AdmissionClass::Normal)));
+        assert_eq!((sem.available(), sem.aged_grants()), (1, 1));
+    }
+
+    #[test]
     fn admission_policy_parse_roundtrip() {
         assert_eq!(AdmissionPolicy::parse("fifo"), Some(AdmissionPolicy::Fifo));
         assert_eq!(
@@ -1496,6 +1588,74 @@ mod tests {
             assert_eq!(outs, vec![1, 2, 3, 4]);
         });
         assert_eq!(end.as_nanos(), 40);
+    }
+
+    /// Logs its id on every poll of the wrapped future.
+    struct Logged<F: ?Sized> {
+        id: u32,
+        log: Rc<RefCell<Vec<u32>>>,
+        fut: Pin<Box<F>>,
+    }
+
+    impl<F: Future + ?Sized> Future for Logged<F> {
+        type Output = F::Output;
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<F::Output> {
+            self.log.borrow_mut().push(self.id);
+            self.fut.as_mut().poll(cx)
+        }
+    }
+
+    #[test]
+    fn join2_polls_in_join_all_order() {
+        // Left wakes at 10 and 30, right at 20: each wake polls the left
+        // half (while pending), then the right one. `join_all` over the
+        // same pair must produce the same poll log and end time.
+        let run = |pair: bool| {
+            let sim = Sim::new();
+            let log: Rc<RefCell<Vec<u32>>> = Rc::default();
+            let (s, l) = (sim.clone(), Rc::clone(&log));
+            let end = sim.block_on(async move {
+                let left = {
+                    let s = s.clone();
+                    async move {
+                        s.sleep(SimDuration::from_nanos(10)).await;
+                        s.sleep(SimDuration::from_nanos(20)).await;
+                        'l'
+                    }
+                };
+                let right = {
+                    let s = s.clone();
+                    async move {
+                        s.sleep(SimDuration::from_nanos(20)).await;
+                        'r'
+                    }
+                };
+                let (left, right) = (
+                    Logged {
+                        id: 0,
+                        log: Rc::clone(&l),
+                        fut: Box::pin(left) as Pin<Box<dyn Future<Output = char>>>,
+                    },
+                    Logged {
+                        id: 1,
+                        log: Rc::clone(&l),
+                        fut: Box::pin(right) as Pin<Box<dyn Future<Output = char>>>,
+                    },
+                );
+                let out = if pair {
+                    let (a, b) = join2(left, right).await;
+                    vec![a, b]
+                } else {
+                    join_all(vec![left, right]).await
+                };
+                assert_eq!(out, vec!['l', 'r']);
+            });
+            (Rc::try_unwrap(log).unwrap().into_inner(), end)
+        };
+        let (log, end) = run(true);
+        assert_eq!(log, vec![0, 1, 0, 1, 0, 1, 0]);
+        assert_eq!(end.as_nanos(), 30);
+        assert_eq!((log, end), run(false));
     }
 
     #[test]

@@ -10,6 +10,41 @@ use daosim_kernel::sync::{
 use daosim_kernel::{Sim, SimDuration, SimTime};
 use proptest::prelude::*;
 
+/// One step of a timer program (see `surviving_timers_fire_exactly_on_time`).
+#[derive(Debug, Clone, Copy)]
+enum TimerOp {
+    /// Sleep `d` ns.
+    Sleep(u64),
+    /// Arm a sleep of `d` ns and drop it at once.
+    Drop(u64),
+    /// `timeout(d + slack, sleep(d))`: the sleep wins at `d`.
+    TimeoutWins(u64, u64),
+    /// `timeout(limit, sleep(limit + 1 + over))`: the deadline wins.
+    TimeoutLoses(u64, u64),
+    /// Arm a cancellable action at `d1`, then in the same instant cancel
+    /// it and arm another at `d2`; the task does not wait for either.
+    Rearm(u64, u64),
+}
+
+fn timer_delay() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        4 => 0u64..64,                   // same instant / level 0
+        4 => 64u64..100_000,             // levels 1-2
+        2 => 100_000u64..(1 << 30),      // levels 3-5
+        1 => (1u64 << 36)..(1 << 38),    // past the wheel horizon
+    ]
+}
+
+fn timer_op() -> impl Strategy<Value = TimerOp> {
+    prop_oneof![
+        (timer_delay()).prop_map(TimerOp::Sleep),
+        (timer_delay()).prop_map(TimerOp::Drop),
+        (timer_delay(), 1u64..1_000).prop_map(|(d, s)| TimerOp::TimeoutWins(d, s)),
+        (timer_delay(), 0u64..1_000).prop_map(|(l, o)| TimerOp::TimeoutLoses(l, o)),
+        (timer_delay(), timer_delay()).prop_map(|(a, b)| TimerOp::Rearm(a, b)),
+    ]
+}
+
 /// One queued request in the cancellation scenario: `want` permits,
 /// `hold` ns once granted; `cancel` wraps the acquire in a short timeout
 /// so it is dropped while queued (at whatever queue position its arrival
@@ -288,5 +323,83 @@ proptest! {
         let out = sim.run();
         prop_assert_eq!(out.end_time.as_nanos(), *times.iter().max().unwrap());
         prop_assert_eq!(out.stranded_tasks, 0);
+    }
+
+    #[test]
+    fn surviving_timers_fire_exactly_on_time(
+        programs in proptest::collection::vec(proptest::collection::vec(timer_op(), 1..16), 1..6),
+    ) {
+        // Several tasks share one timer slab and calendar, so dropped
+        // sleeps, won and lost timeouts and cancelled handles free slots
+        // that other tasks' timers reuse at once under a new generation.
+        // Every surviving sleeper must wake exactly at `now + delay`, no
+        // cancelled action may run, and the run must end at the last
+        // surviving deadline: a stale entry neither fires nor advances
+        // the clock.
+        let sim = Sim::new();
+        let late: Rc<RefCell<Vec<String>>> = Rc::default();
+        let mut last_deadline = 0u64;
+        for (task, program) in programs.iter().enumerate() {
+            // The task's timeline follows from its program alone.
+            let mut t = 0u64;
+            for &op in program {
+                match op {
+                    TimerOp::Sleep(d) | TimerOp::TimeoutWins(d, _) => t += d,
+                    TimerOp::TimeoutLoses(limit, _) => t += limit,
+                    TimerOp::Drop(_) => {}
+                    TimerOp::Rearm(_, d2) => last_deadline = last_deadline.max(t + d2),
+                }
+            }
+            last_deadline = last_deadline.max(t);
+            let (s, late, program) = (sim.clone(), Rc::clone(&late), program.clone());
+            sim.spawn(async move {
+                let check = |what: &str, want: u64| {
+                    let got = s.now().as_nanos();
+                    if got != want {
+                        late.borrow_mut().push(format!("task {task} {what}: {got} != {want}"));
+                    }
+                };
+                for op in program {
+                    let t0 = s.now().as_nanos();
+                    let ns = SimDuration::from_nanos;
+                    match op {
+                        TimerOp::Sleep(d) => {
+                            s.sleep(ns(d)).await;
+                            check("sleep", t0 + d);
+                        }
+                        TimerOp::Drop(d) => drop(s.sleep(ns(d))),
+                        TimerOp::TimeoutWins(d, slack) => {
+                            let r = timeout(&s, ns(d + slack), s.sleep(ns(d))).await;
+                            check(if r.is_ok() { "timeout win" } else { "timeout win lost" }, t0 + d);
+                        }
+                        TimerOp::TimeoutLoses(limit, over) => {
+                            let r = timeout(&s, ns(limit), s.sleep(ns(limit + 1 + over))).await;
+                            check(if r.is_err() { "timeout loss" } else { "timeout loss won" }, t0 + limit);
+                        }
+                        TimerOp::Rearm(d1, d2) => {
+                            let late2 = Rc::clone(&late);
+                            let first = s.schedule_cancellable_after(ns(d1), move || {
+                                late2.borrow_mut().push(format!("task {task}: cancelled action ran"));
+                            });
+                            let (s2, late3) = (s.clone(), Rc::clone(&late));
+                            first.cancel();
+                            let second = s.schedule_cancellable_after(ns(d2), move || {
+                                let got = s2.now().as_nanos();
+                                if got != t0 + d2 {
+                                    late3.borrow_mut().push(format!("task {task} re-armed action: {got} != {}", t0 + d2));
+                                }
+                            });
+                            if first.is_armed() || !second.is_armed() {
+                                late.borrow_mut().push(format!("task {task}: handle armed state"));
+                            }
+                        }
+                    }
+                }
+            });
+        }
+        let out = sim.run();
+        prop_assert_eq!(out.stranded_tasks, 0);
+        prop_assert_eq!(late.borrow().clone(), Vec::<String>::new());
+        prop_assert_eq!(out.end_time.as_nanos(), last_deadline);
     }
 }
