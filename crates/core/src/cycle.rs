@@ -21,6 +21,7 @@
 //! only the timing/QoS metrics may differ (pinned by a proptest below).
 
 use std::cell::{Cell, RefCell};
+use std::fmt::Write;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -309,26 +310,19 @@ impl DeadlineLedger {
 /// The full field key of `(writer, step, field)` under `layout`. Both
 /// layouts name the same logical field — they differ only in which side
 /// of the msk/lsk split carries the writer id.
+///
+/// The key is written directly in canonical (name-sorted) order into one
+/// buffer sized for the longest `u32` values.
 pub fn cycle_key(layout: IndexLayout, writer: u32, step: u32, field: u32) -> FieldKey {
-    let mut key = FieldKey::from_pairs([
-        ("class", "od"),
-        ("stream", "oper"),
-        ("expver", "0001"),
-        ("date", "20290101"),
-        ("time", "0000"),
-    ]);
-    key.set("step", step.to_string());
+    let mut text = String::with_capacity(128);
+    text.push_str("class=od,date=20290101,expver=0001,field=");
     match layout {
-        IndexLayout::PerProcess => {
-            key.set("number", writer.to_string());
-            key.set("field", field.to_string());
-        }
-        IndexLayout::Shared => {
-            key.set("number", "0");
-            key.set("field", format!("w{writer}x{field}"));
-        }
+        IndexLayout::PerProcess => write!(text, "{field},number={writer}"),
+        IndexLayout::Shared => write!(text, "w{writer}x{field},number=0"),
     }
-    key
+    .and_then(|()| write!(text, ",step={step},stream=oper,time=0000"))
+    .expect("writing to a String cannot fail");
+    FieldKey::from_canonical(text).expect("cycle keys are canonical")
 }
 
 /// Layout-independent payload of logical field `(writer, step, field)` —

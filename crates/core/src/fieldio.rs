@@ -328,6 +328,17 @@ struct Forecast<C> {
     store_uuid: Uuid,
 }
 
+/// The md5-derived names of the forecast whose most-significant key part
+/// has canonical text `mkey`: its forecast-KV oid, then its index and
+/// store container uuids. Every process derives the same names, so racing
+/// creators converge on one forecast.
+fn forecast_names(mkey: &str, kv_class: ObjectClass) -> (Oid, Uuid, Uuid) {
+    let fkv = Oid::from_digest(&Uuid::from_name(format!("fkv:{mkey}").as_bytes()), kv_class);
+    let index = Uuid::from_name(format!("cont-index:{mkey}").as_bytes());
+    let store = Uuid::from_name(format!("cont-store:{mkey}").as_bytes());
+    (fkv, index, store)
+}
+
 /// The UUID of the main container (a deployment-wide constant).
 pub fn main_container_uuid() -> Uuid {
     Uuid::from_name(b"daosim:main-container")
@@ -373,11 +384,6 @@ impl<D: DaosApi> FieldStore<D> {
         &self.client
     }
 
-    fn forecast_kv_oid(&self, msk: &KeyPart) -> Oid {
-        let digest = Uuid::from_name(format!("fkv:{}", msk.canonical()).as_bytes());
-        Oid::from_digest(&digest, self.cfg.kv_class)
-    }
-
     fn noindex_oid(&self, key: &FieldKey) -> Oid {
         let digest = Uuid::from_name(format!("field:{}", key.canonical()).as_bytes());
         Oid::from_digest(&digest, self.cfg.array_class)
@@ -392,10 +398,10 @@ impl<D: DaosApi> FieldStore<D> {
         create_if_absent: bool,
     ) -> FieldResult<Forecast<D::Cont>> {
         let mkey = msk.canonical();
-        if let Some(f) = self.cont_cache.borrow().get(&mkey) {
+        if let Some(f) = self.cont_cache.borrow().get(mkey) {
             return Ok(f.clone());
         }
-        let fkv = self.forecast_kv_oid(msk);
+        let (fkv, index_uuid, store_uuid) = forecast_names(mkey, self.cfg.kv_class);
         if self.cfg.mode == FieldIoMode::NoContainers {
             // Indexing layers stay; container layers collapse to main.
             let f = Forecast {
@@ -411,12 +417,12 @@ impl<D: DaosApi> FieldStore<D> {
                     .kv_get(&self.main, self.main_kv, mkey.as_bytes())
                     .await,
                 "kv_get",
-                &mkey,
+                mkey,
             )?
             .is_some();
             if !registered {
                 if !create_if_absent {
-                    return Err(FieldIoError::FieldNotFound(mkey));
+                    return Err(FieldIoError::FieldNotFound(mkey.to_owned()));
                 }
                 dctx(
                     self.client
@@ -428,30 +434,30 @@ impl<D: DaosApi> FieldStore<D> {
                         )
                         .await,
                     "kv_put",
-                    &mkey,
+                    mkey,
                 )?;
             }
-            self.cont_cache.borrow_mut().insert(mkey, f.clone());
+            self.cont_cache
+                .borrow_mut()
+                .insert(mkey.to_owned(), f.clone());
             return Ok(f);
         }
 
         // Full mode: query the main KV for the forecast's index container.
-        let index_uuid = Uuid::from_name(format!("cont-index:{mkey}").as_bytes());
-        let store_uuid = Uuid::from_name(format!("cont-store:{mkey}").as_bytes());
         let hit = dctx(
             self.client
                 .kv_get(&self.main, self.main_kv, mkey.as_bytes())
                 .await,
             "kv_get",
-            &mkey,
+            mkey,
         )?;
         let (index, store) = if hit.is_some() {
-            let index = dctx(self.client.cont_open(index_uuid).await, "cont_open", &mkey)?;
-            let store = dctx(self.client.cont_open(store_uuid).await, "cont_open", &mkey)?;
+            let index = dctx(self.client.cont_open(index_uuid).await, "cont_open", mkey)?;
+            let store = dctx(self.client.cont_open(store_uuid).await, "cont_open", mkey)?;
             (index, store)
         } else {
             if !create_if_absent {
-                return Err(FieldIoError::FieldNotFound(mkey));
+                return Err(FieldIoError::FieldNotFound(mkey.to_owned()));
             }
             // Create both containers (md5-named: racing creators agree),
             // record the store container id in a special entry of the
@@ -459,12 +465,12 @@ impl<D: DaosApi> FieldStore<D> {
             let index = dctx(
                 self.client.cont_open_or_create(index_uuid).await,
                 "cont_open_or_create",
-                &mkey,
+                mkey,
             )?;
             let store = dctx(
                 self.client.cont_open_or_create(store_uuid).await,
                 "cont_open_or_create",
-                &mkey,
+                mkey,
             )?;
             dctx(
                 self.client
@@ -476,7 +482,7 @@ impl<D: DaosApi> FieldStore<D> {
                     )
                     .await,
                 "kv_put",
-                &mkey,
+                mkey,
             )?;
             dctx(
                 self.client
@@ -488,7 +494,7 @@ impl<D: DaosApi> FieldStore<D> {
                     )
                     .await,
                 "kv_put",
-                &mkey,
+                mkey,
             )?;
             (index, store)
         };
@@ -498,7 +504,9 @@ impl<D: DaosApi> FieldStore<D> {
             fkv,
             store_uuid,
         };
-        self.cont_cache.borrow_mut().insert(mkey, f.clone());
+        self.cont_cache
+            .borrow_mut()
+            .insert(mkey.to_owned(), f.clone());
         Ok(f)
     }
 
@@ -510,17 +518,17 @@ impl<D: DaosApi> FieldStore<D> {
             let h = dctx(
                 self.client.array_open_or_create(&self.main, oid).await,
                 "array_open_or_create",
-                &kc,
+                kc,
             )?;
             dctx(
                 self.client.array_write(&self.main, &h, 0, data).await,
                 "array_write",
-                &kc,
+                kc,
             )?;
             dctx(
                 self.client.array_close(&self.main, h).await,
                 "array_close",
-                &kc,
+                kc,
             )?;
             return Ok(());
         }
@@ -537,14 +545,14 @@ impl<D: DaosApi> FieldStore<D> {
         let h = dctx(
             self.client.array_create(&store, oid).await,
             "array_create",
-            &kc,
+            kc,
         )?;
         dctx(
             self.client.array_write(&store, &h, 0, data).await,
             "array_write",
-            &kc,
+            kc,
         )?;
-        dctx(self.client.array_close(&store, h).await, "array_close", &kc)?;
+        dctx(self.client.array_close(&store, h).await, "array_close", kc)?;
         // Index it in the forecast KV (re-writes re-point the entry; the
         // previous array is de-referenced but never deleted).
         let entry = IndexEntry {
@@ -557,7 +565,7 @@ impl<D: DaosApi> FieldStore<D> {
                 .kv_put(&index, fkv, lsk.canonical().as_bytes(), entry.encode())
                 .await,
             "kv_put",
-            &kc,
+            kc,
         )?;
         Ok(())
     }
@@ -572,23 +580,23 @@ impl<D: DaosApi> FieldStore<D> {
                 .array_open(&self.main, oid)
                 .await
                 .map_err(|e| match e {
-                    DaosError::ObjNotFound(_) => FieldIoError::FieldNotFound(kc.clone()),
-                    other => FieldIoError::daos("array_open", kc.clone(), other),
+                    DaosError::ObjNotFound(_) => FieldIoError::FieldNotFound(kc.to_owned()),
+                    other => FieldIoError::daos("array_open", kc, other),
                 })?;
             let len = dctx(
                 self.client.array_size(&self.main, &h).await,
                 "array_size",
-                &kc,
+                kc,
             )?;
             let data = dctx(
                 self.client.array_read(&self.main, &h, 0, len).await,
                 "array_read",
-                &kc,
+                kc,
             )?;
             dctx(
                 self.client.array_close(&self.main, h).await,
                 "array_close",
-                &kc,
+                kc,
             )?;
             return Ok(data);
         }
@@ -601,22 +609,22 @@ impl<D: DaosApi> FieldStore<D> {
                 .kv_get(&index, fkv, lsk.canonical().as_bytes())
                 .await,
             "kv_get",
-            &kc,
+            kc,
         )?
-        .ok_or_else(|| FieldIoError::FieldNotFound(kc.clone()))?;
+        .ok_or_else(|| FieldIoError::FieldNotFound(kc.to_owned()))?;
         let entry =
-            IndexEntry::decode(&raw).ok_or_else(|| FieldIoError::BadIndexEntry(kc.clone()))?;
+            IndexEntry::decode(&raw).ok_or_else(|| FieldIoError::BadIndexEntry(kc.to_owned()))?;
         let h = dctx(
             self.client.array_open(&store, entry.oid).await,
             "array_open",
-            &kc,
+            kc,
         )?;
         let data = dctx(
             self.client.array_read(&store, &h, 0, entry.len).await,
             "array_read",
-            &kc,
+            kc,
         )?;
-        dctx(self.client.array_close(&store, h).await, "array_close", &kc)?;
+        dctx(self.client.array_close(&store, h).await, "array_close", kc)?;
         Ok(data)
     }
 
@@ -642,9 +650,9 @@ impl<D: DaosApi> FieldStore<D> {
                 .kv_list_range(&index, fkv, Bytes::from_static(FIELD_KEYS_FROM), None)
                 .await,
             "kv_list_range",
-            &mkey,
+            mkey,
         )? {
-            if let Some(raw) = dctx(self.client.kv_get(&index, fkv, &k).await, "kv_get", &mkey)? {
+            if let Some(raw) = dctx(self.client.kv_get(&index, fkv, &k).await, "kv_get", mkey)? {
                 if let Some(entry) = IndexEntry::decode(&raw) {
                     live.insert(entry.oid);
                 }
@@ -661,7 +669,7 @@ impl<D: DaosApi> FieldStore<D> {
         for oid in dctx(
             self.client.list_array_objects(&store).await,
             "list_array_objects",
-            &mkey,
+            mkey,
         )? {
             if live.contains(&oid) {
                 continue;
@@ -708,11 +716,11 @@ impl<D: DaosApi> FieldStore<D> {
                 .kv_list_range(&index, fkv, Bytes::from_static(FIELD_KEYS_FROM), None)
                 .await,
             "kv_list_range",
-            &mkey,
+            mkey,
         )?;
         let mut removed = 0usize;
         for k in keys {
-            if let Some(raw) = dctx(self.client.kv_get(&index, fkv, &k).await, "kv_get", &mkey)? {
+            if let Some(raw) = dctx(self.client.kv_get(&index, fkv, &k).await, "kv_get", mkey)? {
                 if let Some(entry) = IndexEntry::decode(&raw) {
                     // Punch may fail if a concurrent wipe raced us; treat
                     // an absent object as already punched.
@@ -729,7 +737,7 @@ impl<D: DaosApi> FieldStore<D> {
             Ok(()) | Err(DaosError::ObjNotFound(_)) => {}
             Err(e) => return Err(FieldIoError::daos("obj_punch", mkey, e)),
         }
-        self.cont_cache.borrow_mut().remove(&mkey);
+        self.cont_cache.borrow_mut().remove(mkey);
         Ok(removed)
     }
 
@@ -750,7 +758,7 @@ impl<D: DaosApi> FieldStore<D> {
                 .kv_list_range(&index, fkv, Bytes::from_static(FIELD_KEYS_FROM), None)
                 .await,
             "kv_list_range",
-            &msk.canonical(),
+            msk.canonical(),
         )?;
         Ok(keys
             .into_iter()
@@ -807,7 +815,6 @@ impl<D: DaosApi> FieldStore<D> {
             oid,
             len: data.len() as u64,
         };
-        let lsk_bytes = lsk.canonical().into_bytes();
         Ok(eq.submit(async move {
             let h = client.array_create(&store, oid).await?;
             // The field's Array data write and its index KV update have
@@ -816,8 +823,11 @@ impl<D: DaosApi> FieldStore<D> {
                 client.array_write(&store, &h, 0, data).await?;
                 client.array_close(&store, h).await
             };
-            let index_branch =
-                async { client.kv_put(&index, fkv, &lsk_bytes, entry.encode()).await };
+            let index_branch = async {
+                client
+                    .kv_put(&index, fkv, lsk.canonical().as_bytes(), entry.encode())
+                    .await
+            };
             let (data_done, index_done) = join2(data_branch, index_branch).await;
             data_done?;
             index_done?;
@@ -853,10 +863,10 @@ impl<D: DaosApi> FieldStore<D> {
                 Ok(other) => panic!("read composite resolved to {other:?}"),
                 // Sentinels the composite uses for index misses.
                 Err(DaosError::KeyNotFound(_)) | Err(DaosError::ObjNotFound(_)) => {
-                    Err(FieldIoError::FieldNotFound(kc))
+                    Err(FieldIoError::FieldNotFound(kc.to_owned()))
                 }
                 Err(DaosError::InvalidArg("bad index entry")) => {
-                    Err(FieldIoError::BadIndexEntry(kc))
+                    Err(FieldIoError::BadIndexEntry(kc.to_owned()))
                 }
                 Err(e) => Err(FieldIoError::daos("read_field", kc, e)),
             });
@@ -903,14 +913,11 @@ impl<D: DaosApi> FieldStore<D> {
         let Forecast {
             index, store, fkv, ..
         } = self.forecast(&msk, false).await?;
-        let lsk_bytes = lsk.canonical().into_bytes();
         Ok(eq.submit(async move {
             let raw = client
-                .kv_get(&index, fkv, &lsk_bytes)
+                .kv_get(&index, fkv, lsk.canonical().as_bytes())
                 .await?
-                .ok_or_else(|| {
-                    DaosError::KeyNotFound(String::from_utf8_lossy(&lsk_bytes).into_owned())
-                })?;
+                .ok_or_else(|| DaosError::KeyNotFound(lsk.canonical().to_owned()))?;
             let entry = IndexEntry::decode(&raw).ok_or(DaosError::InvalidArg("bad index entry"))?;
             let h = client.array_open(&store, entry.oid).await?;
             let data = client.array_read(&store, &h, 0, entry.len).await?;
@@ -985,10 +992,10 @@ impl<D: DaosApi> PipelinedWriter<'_, D> {
         for c in self.eq.wait_capacity(self.window).await {
             self.absorb(c);
         }
-        let kc = key.canonical();
         match self.fs.launch_write(&self.eq, key, data).await {
             Ok(ev) => {
-                self.pending.insert(ev, PendingWrite { key: kc, cb });
+                let key = key.canonical().to_owned();
+                self.pending.insert(ev, PendingWrite { key, cb });
                 Ok(())
             }
             // Inline resolution failed before launch; deliver the error
@@ -1453,6 +1460,68 @@ mod tests {
                 Err(FieldIoError::FieldNotFound(_)) => {}
                 other => panic!("mode {mode}: expected FieldNotFound, got {other:?}"),
             }
+        }
+    }
+
+    /// Golden names: the canonical key text of the cycle and benchmark
+    /// keys, their split, and the md5-derived forecast KV and container
+    /// names it yields. Changing how keys are held must not rename a
+    /// single container.
+    #[test]
+    fn key_text_and_forecast_names_are_pinned() {
+        use crate::cycle::{cycle_key, IndexLayout};
+        use crate::workload::{Contention, KeyGen};
+        let cases = [
+            (
+                cycle_key(IndexLayout::Shared, 3, 14, 2),
+                "class=od,date=20290101,expver=0001,field=w3x2,number=0,step=14,stream=oper,time=0000",
+                "class=od,date=20290101,expver=0001,number=0,stream=oper,time=0000",
+                "field=w3x2,step=14",
+                0x00000003b8fb6c0e3df6ba1fa6771146,
+                "cc797819-dc84-b784-cac3-6d973126f067",
+                "16797f08-bbe0-b83a-8bae-585f1da50c4b",
+            ),
+            (
+                cycle_key(IndexLayout::PerProcess, 3, 14, 2),
+                "class=od,date=20290101,expver=0001,field=2,number=3,step=14,stream=oper,time=0000",
+                "class=od,date=20290101,expver=0001,number=3,stream=oper,time=0000",
+                "field=2,step=14",
+                0x00000003d89b8a8656c6c9caf35a4c98,
+                "c0477f59-5c9e-f33c-ebc4-c011998d27b4",
+                "ac36f719-238f-4de9-06f7-429cba8073fe",
+            ),
+            (
+                KeyGen::new(Contention::High).field_key(5, 130),
+                "class=od,date=20290101,expver=0001,levelist=925,param=t,shard=5,step=1,stream=oper,time=0000",
+                "class=od,date=20290101,expver=0001,stream=oper,time=0000",
+                "levelist=925,param=t,shard=5,step=1",
+                0x0000000319993b47a1cd2a021dfaec0f,
+                "f2c3fe53-04ed-75a9-c28e-0ab7d75aa0ae",
+                "817c7dc7-89c4-729c-3cc0-85f877cb41f0",
+            ),
+            (
+                KeyGen::new(Contention::Low).field_key(5, 130),
+                "class=od,date=20290101,expver=0001,levelist=925,number=5,param=t,step=1,stream=oper,time=0000",
+                "class=od,date=20290101,expver=0001,number=5,stream=oper,time=0000",
+                "levelist=925,param=t,step=1",
+                0x000000034bf9c9743b8ace8e61b7f942,
+                "47af9a9d-0596-b856-0353-ddcbc46571aa",
+                "67237245-ecfa-6e6a-fabc-d978f6355489",
+            ),
+        ];
+        for (key, text, msk_text, lsk_text, fkv_bits, index_name, store_name) in cases {
+            assert_eq!(key.canonical(), text);
+            let (msk, lsk) = key.split(&KeySchema::ecmwf());
+            assert_eq!((msk.canonical(), lsk.canonical()), (msk_text, lsk_text));
+            let (fkv, index, store_uuid) = forecast_names(msk.canonical(), ObjectClass::SX);
+            assert_eq!(fkv.as_u128(), fkv_bits, "{text}");
+            assert_eq!(index.to_string(), index_name, "{text}");
+            assert_eq!(store_uuid.to_string(), store_name, "{text}");
+            // A field write creates exactly these containers.
+            let fs = store(FieldIoMode::Full);
+            block_on(fs.write_field(&key, Bytes::from_static(b"grib"))).unwrap();
+            block_on(fs.client().cont_open(index)).unwrap();
+            block_on(fs.client().cont_open(store_uuid)).unwrap();
         }
     }
 }

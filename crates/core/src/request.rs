@@ -80,7 +80,7 @@ impl Request {
             for key in &keys {
                 for v in values {
                     let mut k = key.clone();
-                    k.set(kw.clone(), v.clone());
+                    k.set(kw, v);
                     next.push(k);
                 }
             }
@@ -100,6 +100,9 @@ impl Request {
             let (k, vs) = part
                 .split_once('=')
                 .ok_or_else(|| format!("missing '=' in {part:?}"))?;
+            if vs.contains('=') {
+                return Err(format!("'=' inside the values of {part:?}"));
+            }
             let values: Vec<&str> = vs.split('/').filter(|v| !v.is_empty()).collect();
             if values.is_empty() {
                 return Err(format!("keyword {k:?} has no values"));
@@ -194,7 +197,7 @@ mod tests {
         assert_eq!(r.cardinality(), 12);
         let keys = r.expand();
         assert_eq!(keys.len(), 12);
-        let mut dedup: Vec<String> = keys.iter().map(|k| k.canonical()).collect();
+        let mut dedup: Vec<&str> = keys.iter().map(|k| k.canonical()).collect();
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), 12, "expansion must not repeat keys");
@@ -212,6 +215,8 @@ mod tests {
         assert!(Request::parse("").is_err());
         assert!(Request::parse("param").is_err());
         assert!(Request::parse("param=").is_err());
+        // Keys cannot hold a separator: it would split into two pairs.
+        assert!(Request::parse("param=t=u").is_err());
     }
 
     #[test]
@@ -236,7 +241,7 @@ mod tests {
         let mut half = base_request();
         half.set("step", ["0"]);
         let n = block_on(archive_all(&fs, &half, |k| {
-            Bytes::from(k.canonical().into_bytes())
+            Bytes::copy_from_slice(k.canonical().as_bytes())
         }))
         .unwrap();
         assert_eq!(n, 6);
@@ -255,7 +260,7 @@ mod tests {
 
         // Completing the archive completes the retrieval.
         block_on(archive_all(&fs, &req, |k| {
-            Bytes::from(k.canonical().into_bytes())
+            Bytes::copy_from_slice(k.canonical().as_bytes())
         }))
         .unwrap();
         let got = block_on(retrieve(&fs, &req)).unwrap();

@@ -104,6 +104,7 @@ impl Trace {
             ("field", f.to_string()),
         ])
         .canonical()
+        .to_owned()
     }
 
     pub fn len(&self) -> usize {

@@ -136,7 +136,7 @@ mod tests {
             for p in 0..8 {
                 for op in 0..200 {
                     assert!(
-                        seen.insert(g.field_key(p, op).canonical()),
+                        seen.insert(g.field_key(p, op).canonical().to_owned()),
                         "duplicate key p={p} op={op} ({contention:?})"
                     );
                 }

@@ -1,6 +1,8 @@
 //! Property-based tests of keys, index entries, metric definitions,
 //! trace CSV round-trips, timeline builders and span-tree invariants.
 
+use std::collections::BTreeMap;
+
 use daosim_core::fieldio::IndexEntry;
 use daosim_core::key::{FieldKey, KeySchema};
 use daosim_core::metrics::{
@@ -19,6 +21,33 @@ fn name_str() -> impl Strategy<Value = String> {
 
 fn value_str() -> impl Strategy<Value = String> {
     "[a-z0-9]{1,10}"
+}
+
+/// Key names for the oracle test: the ECMWF schema's own names, so both
+/// split halves fill, plus free tokens that include characters sorting
+/// below `=` (digits, `-`, `.`), where comparing names differs from
+/// comparing `name=value` text.
+fn oracle_name() -> impl Strategy<Value = String> {
+    const NAMES: [&str; 9] = [
+        "class", "stream", "expver", "date", "time", "number", "step", "param", "levelist",
+    ];
+    prop_oneof![
+        (0..NAMES.len()).prop_map(|i| NAMES[i].to_string()),
+        "[a-z0-9.-]{1,7}",
+    ]
+}
+
+/// Values `FieldKey::parse` accepts back: no separators, no whitespace.
+fn oracle_value() -> impl Strategy<Value = String> {
+    "[A-Za-z0-9_.:-]{1,10}"
+}
+
+/// The canonical text of an ordered map of pairs.
+fn oracle_text(m: &BTreeMap<String, String>) -> String {
+    m.iter()
+        .map(|(k, v)| format!("{k}={v}"))
+        .collect::<Vec<_>>()
+        .join(",")
 }
 
 fn any_class() -> impl Strategy<Value = ObjectClass> {
@@ -70,6 +99,50 @@ proptest! {
             .map(String::from)
             .collect();
         prop_assert_eq!(rebuilt, original);
+    }
+
+    /// `FieldKey` behaves like a `BTreeMap<String, String>` of its pairs
+    /// under any sequence of sets and overwrites: same canonical text,
+    /// lookups, length, split halves, ordering, and `parse` round-trip.
+    #[test]
+    fn field_key_matches_btreemap_oracle(
+        sets in proptest::collection::vec((oracle_name(), oracle_value()), 1..24),
+        probe in oracle_name(),
+        (renamed, suffix) in (0usize..24, "[.0-9a-z-]{1,2}"),
+        custom in proptest::collection::vec(oracle_name(), 0..4),
+    ) {
+        let mut key = FieldKey::new();
+        let mut oracle = BTreeMap::new();
+        for (k, v) in &sets {
+            key.set(k, v);
+            oracle.insert(k.clone(), v.clone());
+            prop_assert_eq!(key.canonical(), oracle_text(&oracle));
+            prop_assert_eq!(key.len(), oracle.len());
+        }
+        for name in oracle.keys().chain([&probe]) {
+            prop_assert_eq!(key.get(name), oracle.get(name).map(String::as_str));
+        }
+        for schema in [KeySchema::ecmwf(), KeySchema::new(custom.clone())] {
+            let (msk, lsk) = key.split(&schema);
+            let (om, ol): (BTreeMap<_, _>, BTreeMap<_, _>) =
+                oracle.clone().into_iter().partition(|(k, _)| schema.is_msk(k));
+            prop_assert_eq!(msk.canonical(), oracle_text(&om));
+            prop_assert_eq!(lsk.canonical(), oracle_text(&ol));
+            prop_assert_eq!(msk.get(&probe), om.get(&probe).map(String::as_str));
+            prop_assert_eq!(lsk.get(&probe), ol.get(&probe).map(String::as_str));
+        }
+        prop_assert_eq!(&FieldKey::parse(key.canonical()).unwrap(), &key);
+        prop_assert_eq!(&FieldKey::from_canonical(key.canonical().to_owned()).unwrap(), &key);
+        // Lengthening one name is where comparing pairs and comparing
+        // text disagree: `a` sorts before `a0`, but `a=` after `a0=`.
+        let mut other_oracle = oracle.clone();
+        let name = oracle.keys().nth(renamed % oracle.len()).unwrap();
+        let value = other_oracle.remove(name).unwrap();
+        other_oracle.insert(format!("{name}{suffix}"), value);
+        let other_key = FieldKey::from_pairs(&other_oracle);
+        prop_assert_eq!(other_key.canonical(), oracle_text(&other_oracle));
+        prop_assert_eq!(key.cmp(&other_key), oracle.cmp(&other_oracle));
+        prop_assert_eq!(other_key.cmp(&key), other_oracle.cmp(&oracle));
     }
 
     #[test]
@@ -217,7 +290,8 @@ fn valid_trace() -> impl Strategy<Value = Trace> {
                         ("class", "od".to_string()),
                         ("step", step.to_string()),
                     ])
-                    .canonical(),
+                    .canonical()
+                    .to_owned(),
                     bytes,
                 }
             })

@@ -21,7 +21,7 @@
 //!   `daos_eq_create`/`daos_event_t`.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -276,12 +276,31 @@ struct EqInner {
     /// handle's drop). In-flight wrappers observe it at their next poll
     /// and resolve with [`DaosError::Cancelled`] instead of running on.
     cancelled: Cell<bool>,
-    /// Waker of each in-flight operation wrapper, keyed by event id, so
-    /// `abort` can reach tasks parked deep inside an operation.
-    op_wakers: RefCell<HashMap<u64, Waker>>,
+    /// Waker of each in-flight operation wrapper, sorted by event id, so
+    /// `abort` can reach tasks parked deep inside an operation and wakes
+    /// them in launch order.
+    op_wakers: RefCell<Vec<(Event, Waker)>>,
 }
 
 impl EqInner {
+    /// Files `waker` as the one `abort` wakes for `ev`, replacing the
+    /// registered one only when it would wake a different task.
+    fn register(&self, ev: Event, waker: &Waker) {
+        let mut wakers = self.op_wakers.borrow_mut();
+        match wakers.binary_search_by_key(&ev, |&(id, _)| id) {
+            Ok(i) if wakers[i].1.will_wake(waker) => {}
+            Ok(i) => wakers[i].1 = waker.clone(),
+            Err(i) => wakers.insert(i, (ev, waker.clone())),
+        }
+    }
+
+    fn unregister(&self, ev: Event) {
+        let mut wakers = self.op_wakers.borrow_mut();
+        if let Ok(i) = wakers.binary_search_by_key(&ev, |&(id, _)| id) {
+            wakers.remove(i);
+        }
+    }
+
     fn push_completion(&self, ev: Event, out: Result<OpOutput>) {
         self.in_flight.set(self.in_flight.get() - 1);
         self.completed.borrow_mut().push_back((ev, out));
@@ -295,33 +314,31 @@ impl EqInner {
 /// operation until the queue is cancelled, then drops it (cancelling any
 /// timers/permits it held) and resolves the event with
 /// [`DaosError::Cancelled`]. Registers its waker with the queue on every
-/// poll so [`EventQueue::abort`] can wake it out of a park.
-struct AbortableOp {
+/// poll so [`EventQueue::abort`] can wake it out of a park. The operation
+/// future lives inline, so launching one costs one box.
+struct AbortableOp<F> {
     ev: Event,
     inner: Rc<EqInner>,
-    fut: OpResultFuture,
+    fut: F,
 }
 
-type OpResultFuture = Pin<Box<dyn Future<Output = Result<OpOutput>> + 'static>>;
-
-impl Future for AbortableOp {
+impl<F: Future<Output = Result<OpOutput>>> Future for AbortableOp<F> {
     type Output = ();
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let this = self.get_mut();
+        // SAFETY: structural pinning of `fut`: it is polled where it lies
+        // and never moved out; `ev` and `inner` are not pinned.
+        let this = unsafe { self.get_unchecked_mut() };
         if this.inner.cancelled.get() {
-            this.inner.op_wakers.borrow_mut().remove(&this.ev.0);
             this.inner
                 .push_completion(this.ev, Err(DaosError::Cancelled));
             return Poll::Ready(());
         }
-        this.inner
-            .op_wakers
-            .borrow_mut()
-            .insert(this.ev.0, cx.waker().clone());
-        match this.fut.as_mut().poll(cx) {
+        this.inner.register(this.ev, cx.waker());
+        // SAFETY: `fut` stays inside the pinned wrapper, as argued above.
+        match unsafe { Pin::new_unchecked(&mut this.fut) }.poll(cx) {
             Poll::Ready(out) => {
-                this.inner.op_wakers.borrow_mut().remove(&this.ev.0);
+                this.inner.unregister(this.ev);
                 this.inner.push_completion(this.ev, out);
                 Poll::Ready(())
             }
@@ -380,7 +397,7 @@ impl<D: DaosApi> EventQueue<D> {
                 completed: RefCell::new(VecDeque::new()),
                 waiters: RefCell::new(Vec::new()),
                 cancelled: Cell::new(false),
-                op_wakers: RefCell::new(HashMap::new()),
+                op_wakers: RefCell::new(Vec::new()),
             }),
             handle: Rc::new(()),
         }
@@ -396,14 +413,9 @@ impl<D: DaosApi> EventQueue<D> {
         if self.inner.cancelled.replace(true) {
             return;
         }
-        let wakers: Vec<Waker> = self
-            .inner
-            .op_wakers
-            .borrow_mut()
-            .drain()
-            .map(|(_, w)| w)
-            .collect();
-        for w in wakers {
+        // Launch order: the cancelled completions land in event order.
+        let wakers = std::mem::take(&mut *self.inner.op_wakers.borrow_mut());
+        for (_, w) in wakers {
             w.wake();
         }
         // Waiters re-poll: they drain cancelled completions as they land.
@@ -450,7 +462,7 @@ impl<D: DaosApi> EventQueue<D> {
         self.client.spawn_op(Box::pin(AbortableOp {
             ev,
             inner: Rc::clone(&self.inner),
-            fut: Box::pin(fut),
+            fut,
         }));
         ev
     }

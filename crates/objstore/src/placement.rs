@@ -50,15 +50,20 @@ pub fn stripe_targets(oid: Oid, pool_targets: u32) -> Vec<u32> {
 
 /// The target serving a Key-Value distribution key: keys hash over the
 /// object's stripe.
+/// Equals `stripe_targets(oid, pool_targets)[hash % width]`, computed
+/// without building the stripe.
 pub fn kv_target(oid: Oid, key: &[u8], pool_targets: u32) -> u32 {
-    let stripe = stripe_targets(oid, pool_targets);
-    stripe[(hash_key(key) % stripe.len() as u64) as usize]
+    assert!(pool_targets > 0, "pool must have targets");
+    let width = oid.class().stripe_width(pool_targets);
+    let slot = (hash_key(key) % width as u64) as u32;
+    (base_target(oid, pool_targets) + slot) % pool_targets
 }
 
 /// The "leader" target of an object — where object-level bookkeeping
-/// (open, punch, update ordering) is served.
+/// (open, punch, update ordering) is served: its first stripe target.
 pub fn leader_target(oid: Oid, pool_targets: u32) -> u32 {
-    stripe_targets(oid, pool_targets)[0]
+    assert!(pool_targets > 0, "pool must have targets");
+    base_target(oid, pool_targets)
 }
 
 /// The replica targets of an object's (single) data shard, leader first.

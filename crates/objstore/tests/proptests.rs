@@ -1,7 +1,9 @@
 //! Property-based tests: the store against reference models.
 
 use bytes::Bytes;
-use daosim_objstore::placement::{array_target_shards, stripe_targets};
+use daosim_objstore::placement::{
+    array_target_shards, hash_key, kv_target, leader_target, stripe_targets,
+};
 use daosim_objstore::{ArrayObject, KvObject, ObjectClass, Oid};
 use proptest::prelude::*;
 
@@ -280,6 +282,32 @@ proptest! {
         prop_assert_ne!(reps[0], reps[1]);
         for t in reps {
             prop_assert!(t < targets);
+        }
+    }
+
+    /// The arithmetic `kv_target` and `leader_target` pick exactly the
+    /// stripe slot the materialised stripe would, for every object class
+    /// and every pool size up to 256 targets.
+    #[test]
+    fn kv_and_leader_targets_index_the_stripe(
+        hi in any::<u32>(), lo in any::<u64>(),
+        key in proptest::collection::vec(any::<u8>(), 0..48),
+    ) {
+        let classes = [
+            ObjectClass::S1,
+            ObjectClass::S2,
+            ObjectClass::SX,
+            ObjectClass::RP2,
+            ObjectClass::EC2P1,
+        ];
+        for class in classes {
+            let oid = Oid::generate(hi, lo, class);
+            for n in 1..=256u32 {
+                let stripe = stripe_targets(oid, n);
+                let slot = (hash_key(&key) % stripe.len() as u64) as usize;
+                prop_assert_eq!(kv_target(oid, &key, n), stripe[slot], "{:?} n={}", class, n);
+                prop_assert_eq!(leader_target(oid, n), stripe[0], "{:?} n={}", class, n);
+            }
         }
     }
 

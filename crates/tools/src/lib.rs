@@ -254,7 +254,7 @@ pub fn cmd_put(path: &Path, key_text: &str, data: Vec<u8>) -> ToolResult {
     let key = FieldKey::parse(key_text).map_err(ToolError::BadArgs)?;
     let pool = load(path)?;
     let bytes = data.len() as u64;
-    let kc = key.canonical();
+    let kc = key.canonical().to_owned();
     {
         let key = key.clone();
         with_fieldstore(Arc::clone(&pool), move |fs| {
@@ -270,7 +270,7 @@ pub fn cmd_put(path: &Path, key_text: &str, data: Vec<u8>) -> ToolResult {
 pub fn cmd_get(path: &Path, key_text: &str) -> ToolResult {
     let key = FieldKey::parse(key_text).map_err(ToolError::BadArgs)?;
     let pool = load(path)?;
-    let kc = key.canonical();
+    let kc = key.canonical().to_owned();
     let data = with_fieldstore(
         pool,
         move |fs| Ok(block_here(fs.read_field(&key))?.to_vec()),

@@ -51,7 +51,7 @@ async fn program<D: DaosApi>(client: D, mode: FieldIoMode) -> Vec<(String, Bytes
     for member in 0..3 {
         for step in [0u32, 6, 12] {
             let data = fs.read_field(&key(step, member)).await.expect("read");
-            out.push((key(step, member).canonical(), data));
+            out.push((key(step, member).canonical().to_owned(), data));
         }
     }
     // Missing keys must fail identically.

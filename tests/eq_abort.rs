@@ -112,3 +112,46 @@ fn abort_resolves_outstanding_events_as_cancelled() {
         "every in-flight event resolves as Cancelled"
     );
 }
+
+/// Aborting a queue whose operations are parked mid-flight wakes them in
+/// launch order, so their `Cancelled` completions land in ascending event
+/// order, the same in every process. (The waker registry used to be a
+/// `HashMap`, drained in a per-process random order.)
+#[test]
+fn abort_mid_flight_cancels_in_event_order() {
+    let sim = Sim::new();
+    let d = Deployment::new(&sim, ClusterSpec::tcp(1, 1));
+    let client = SimClient::for_process(&d, 0, 0);
+    let order: Rc<RefCell<Vec<u64>>> = Rc::default();
+    let order2 = Rc::clone(&order);
+    sim.spawn(async move {
+        let cont = client
+            .cont_open_or_create(Uuid::from_name(b"eq-abort-order"))
+            .await
+            .unwrap();
+        let oid = OidAllocator::new(5).next(ObjectClass::S1);
+        let h = client.array_create(&cont, oid).await.unwrap();
+        let eq = EventQueue::new(client.clone());
+        for i in 0..16u64 {
+            eq.array_write(
+                &cont,
+                &h,
+                i * 8 * MIB as u64,
+                Bytes::from(vec![3u8; 8 * MIB]),
+            );
+        }
+        // Let every write start and park inside its transfer.
+        let sim = client.deployment().sim.clone();
+        sim.sleep(daosim::kernel::SimDuration::from_micros(200))
+            .await;
+        assert_eq!(eq.in_flight(), 16, "8 MiB writes are still in flight");
+        eq.abort();
+        for (ev, res) in eq.wait_all().await {
+            assert_eq!(res.unwrap_err(), DaosError::Cancelled);
+            order2.borrow_mut().push(ev.0);
+        }
+        client.array_close(&cont, h).await.unwrap();
+    });
+    sim.run().expect_quiescent();
+    assert_eq!(*order.borrow(), (0..16).collect::<Vec<u64>>());
+}
