@@ -1,17 +1,18 @@
 //! The simulated DAOS client: `DaosApi` with modelled time.
 //!
-//! Every operation decomposes the way the wire protocol does:
+//! Every object operation is a placement plus one staged RPC
+//! ([`SimClient::rpc`], DESIGN.md §3.4), decomposed the way the wire
+//! protocol does it:
 //!
 //! * a request message (provider latency),
 //! * engine-serial metadata work (container-handle validation — the cost
 //!   that grows with the pool's container population),
-//! * per-target service: FIFO queue, per-RPC CPU, media time,
-//! * bulk data as fabric flows through the software-stack links (writes
+//! * per-object *update locks* serializing conflicting updates (the
+//!   DTX-leader surrogate that shared-index contention binds on),
+//! * per-target service: FIFO queue, per-RPC CPU, media time, with bulk
+//!   data as fabric flows through the software-stack links (writes
 //!   client→engine, reads engine→client), pipelined with media service,
-//! * a response message (provider latency),
-//!
-//! plus per-object *update locks* serializing conflicting updates (the
-//! DTX-leader surrogate that shared-index contention binds on).
+//! * a response message (provider latency).
 //!
 //! Data is applied to the backing [`daosim_objstore`] store at the
 //! modelled completion point, so reads return real bytes and correctness
@@ -24,6 +25,7 @@ use bytes::Bytes;
 use daosim_kernel::sync::{join2, join_all, timeout, AdmissionClass, Elapsed};
 use daosim_kernel::{CounterHandle, HistogramHandle, MetricsRegistry, SimDuration};
 use daosim_net::Endpoint;
+use daosim_objstore::array::extent_end;
 use daosim_objstore::ec;
 use daosim_objstore::placement::{
     array_target_shards, ec_targets, kv_target, leader_target, replica_targets, ARRAY_CHUNK,
@@ -31,7 +33,7 @@ use daosim_objstore::placement::{
 use daosim_objstore::prelude::{ArrayHandle, DaosApi, DaosError, ObjectClass, Oid, Result, Uuid};
 use daosim_objstore::Container;
 
-use crate::deploy::{Deployment, Engine};
+use crate::deploy::{Deployment, Engine, Target};
 use crate::fault::jitter_salt;
 
 /// Bucket bounds (ns) for the `client.op_ns` latency histogram:
@@ -46,90 +48,49 @@ const OP_NS_BOUNDS: [u64; 7] = [
     10_000_000_000,
 ];
 
-/// The client operations that run under [`SimClient::retrying`]. Each op
-/// owns a completion counter (`client.<op>.ops`) and shares the
-/// `client.op_ns` latency histogram; [`ClientMetrics`] resolves the
-/// handles once per deployment so completing an op is two `Cell` bumps,
-/// not a `format!` plus string-keyed map lookups.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ClientOp {
-    KvPut,
-    KvGet,
-    KvPutIfAbsent,
-    KvRemove,
-    KvListKeys,
-    KvListRange,
-    KvPutMulti,
-    ArrayCreate,
-    ArrayOpen,
-    ArrayOpenOrCreate,
-    ArrayWrite,
-    ArrayWriteVec,
-    ArrayRead,
-    ArraySize,
-    ObjPunch,
+/// Declares [`ClientOp`], its `ALL` list and its wire names at once.
+macro_rules! client_ops {
+    ($($op:ident => $name:literal,)*) => {
+        /// The client operations that run under [`SimClient::retrying`].
+        /// Each op owns a completion counter (`client.<op>.ops`) and
+        /// shares the `client.op_ns` latency histogram; [`ClientMetrics`]
+        /// resolves the handles once per deployment so completing an op
+        /// is two `Cell` bumps, not a `format!` plus string-keyed map
+        /// lookups.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum ClientOp {
+            $($op,)*
+        }
+
+        impl ClientOp {
+            pub const ALL: [ClientOp; [$($name),*].len()] = [$(ClientOp::$op),*];
+
+            /// Wire name: span label and the tag inside `DaosError::Timeout`.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(ClientOp::$op => $name,)*
+                }
+            }
+        }
+    };
 }
 
-impl ClientOp {
-    pub const ALL: [ClientOp; 15] = [
-        ClientOp::KvPut,
-        ClientOp::KvGet,
-        ClientOp::KvPutIfAbsent,
-        ClientOp::KvRemove,
-        ClientOp::KvListKeys,
-        ClientOp::KvListRange,
-        ClientOp::KvPutMulti,
-        ClientOp::ArrayCreate,
-        ClientOp::ArrayOpen,
-        ClientOp::ArrayOpenOrCreate,
-        ClientOp::ArrayWrite,
-        ClientOp::ArrayWriteVec,
-        ClientOp::ArrayRead,
-        ClientOp::ArraySize,
-        ClientOp::ObjPunch,
-    ];
-
-    /// Wire name: span label and the tag inside `DaosError::Timeout`.
-    pub fn name(self) -> &'static str {
-        match self {
-            ClientOp::KvPut => "kv_put",
-            ClientOp::KvGet => "kv_get",
-            ClientOp::KvPutIfAbsent => "kv_put_if_absent",
-            ClientOp::KvRemove => "kv_remove",
-            ClientOp::KvListKeys => "kv_list_keys",
-            ClientOp::KvListRange => "kv_list_range",
-            ClientOp::KvPutMulti => "kv_put_multi",
-            ClientOp::ArrayCreate => "array_create",
-            ClientOp::ArrayOpen => "array_open",
-            ClientOp::ArrayOpenOrCreate => "array_open_or_create",
-            ClientOp::ArrayWrite => "array_write",
-            ClientOp::ArrayWriteVec => "array_write_vec",
-            ClientOp::ArrayRead => "array_read",
-            ClientOp::ArraySize => "array_size",
-            ClientOp::ObjPunch => "obj_punch",
-        }
-    }
-
-    /// Name of this op's completion counter in the metrics registry.
-    fn ops_metric(self) -> &'static str {
-        match self {
-            ClientOp::KvPut => "client.kv_put.ops",
-            ClientOp::KvGet => "client.kv_get.ops",
-            ClientOp::KvPutIfAbsent => "client.kv_put_if_absent.ops",
-            ClientOp::KvRemove => "client.kv_remove.ops",
-            ClientOp::KvListKeys => "client.kv_list_keys.ops",
-            ClientOp::KvListRange => "client.kv_list_range.ops",
-            ClientOp::KvPutMulti => "client.kv_put_multi.ops",
-            ClientOp::ArrayCreate => "client.array_create.ops",
-            ClientOp::ArrayOpen => "client.array_open.ops",
-            ClientOp::ArrayOpenOrCreate => "client.array_open_or_create.ops",
-            ClientOp::ArrayWrite => "client.array_write.ops",
-            ClientOp::ArrayWriteVec => "client.array_write_vec.ops",
-            ClientOp::ArrayRead => "client.array_read.ops",
-            ClientOp::ArraySize => "client.array_size.ops",
-            ClientOp::ObjPunch => "client.obj_punch.ops",
-        }
-    }
+client_ops! {
+    KvPut => "kv_put",
+    KvGet => "kv_get",
+    KvPutIfAbsent => "kv_put_if_absent",
+    KvRemove => "kv_remove",
+    KvListKeys => "kv_list_keys",
+    KvListRange => "kv_list_range",
+    KvPutMulti => "kv_put_multi",
+    ArrayCreate => "array_create",
+    ArrayOpen => "array_open",
+    ArrayOpenOrCreate => "array_open_or_create",
+    ArrayWrite => "array_write",
+    ArrayWriteVec => "array_write_vec",
+    ArrayRead => "array_read",
+    ArraySize => "array_size",
+    ObjPunch => "obj_punch",
 }
 
 /// Workload class a client belongs to, for QoS accounting. Classified
@@ -182,7 +143,7 @@ impl ClientMetrics {
     /// `metrics`, so they appear in snapshots from time zero.
     pub fn new(metrics: &MetricsRegistry) -> Self {
         ClientMetrics {
-            ops: ClientOp::ALL.map(|op| metrics.counter(op.ops_metric())),
+            ops: ClientOp::ALL.map(|op| metrics.counter(&format!("client.{}.ops", op.name()))),
             op_ns: metrics.histogram("client.op_ns", &OP_NS_BOUNDS),
             writer_op_ns: metrics.histogram("client.writer.op_ns", &OP_NS_BOUNDS),
             reader_op_ns: metrics.histogram("client.reader.op_ns", &OP_NS_BOUNDS),
@@ -213,6 +174,77 @@ impl SimCont {
     pub fn container(&self) -> &Arc<Container> {
         &self.cont
     }
+}
+
+/// How one shard of an op is served at its target ([`SimClient::serve`]).
+#[derive(Clone, Copy)]
+enum Service {
+    /// Metadata RPC: engine meta on the shard's own engine, then this
+    /// much target time, priced at placement.
+    Small(SimDuration),
+    KvUpdate,
+    KvFetch,
+    BulkWrite,
+    BulkRead,
+}
+
+impl Service {
+    fn at(self, target: u32, bytes: u64) -> Shard {
+        Shard {
+            target,
+            bytes,
+            service: self,
+        }
+    }
+}
+
+/// One target's part of an op.
+#[derive(Clone, Copy)]
+struct Shard {
+    target: u32,
+    bytes: u64,
+    service: Service,
+}
+
+/// An op's shard list. Most ops touch one target, which stays inline, so
+/// their placement allocates nothing.
+enum Shards {
+    One(Shard),
+    Many(Vec<Shard>),
+}
+
+impl std::ops::Deref for Shards {
+    type Target = [Shard];
+    fn deref(&self) -> &[Shard] {
+        match self {
+            Shards::One(s) => std::slice::from_ref(s),
+            Shards::Many(v) => v,
+        }
+    }
+}
+
+impl FromIterator<Shard> for Shards {
+    fn from_iter<I: IntoIterator<Item = Shard>>(iter: I) -> Self {
+        let mut it = iter.into_iter();
+        match (it.next(), it.next()) {
+            (Some(one), None) => Shards::One(one),
+            (a, b) => Shards::Many(a.into_iter().chain(b).chain(it).collect()),
+        }
+    }
+}
+
+/// The serial section an op's shards are served in ([`SimClient::rpc`]).
+#[derive(Clone, Copy)]
+enum Section<'a> {
+    /// Metadata RPC: no object lock, no serial cost.
+    Meta,
+    /// A KV update; a conditional insert names its key.
+    KvUpdate(Option<&'a [u8]>),
+    KvFetch,
+    /// Array ops lock their chunks in the order given: ascending and
+    /// distinct, the global order, so batches cannot deadlock.
+    ArrayUpdate(&'a [u64]),
+    ArrayFetch(&'a [u64]),
 }
 
 /// A client process's connection to the simulated cluster, pinned to one
@@ -250,8 +282,7 @@ impl SimClient {
         self.qos
     }
 
-    /// The admission lane this client's ops queue in (see
-    /// [`QosClass::admission_class`]).
+    /// The admission lane this client's ops queue in.
     fn lane(&self) -> AdmissionClass {
         self.qos.admission_class()
     }
@@ -273,25 +304,243 @@ impl SimClient {
         self.d.resolve_target(t)
     }
 
-    fn engine_for(&self, target: u32) -> Result<&Engine> {
-        let e = self.d.engine_of_target(target);
-        if e.is_alive() {
-            Ok(e)
-        } else {
-            Err(DaosError::EngineUnavailable(
-                self.d.engine_index_of_target(target),
-            ))
-        }
+    fn engine_for(&self, t: u32) -> Result<&Engine> {
+        let e = self.d.engine_of_target(t);
+        let down = || DaosError::EngineUnavailable(self.d.engine_index_of_target(t));
+        e.is_alive().then_some(e).ok_or_else(down)
     }
 
-    /// Engine-serial container-handle work; zero-cost when the pool holds
-    /// few containers.
-    async fn engine_meta(&self, engine: &Engine) {
-        let cost = self
-            .d
-            .spec
-            .calibration
-            .cont_table_cost(self.d.pool.cont_count());
+    /// The first target whose engine is alive (failover); errors with the
+    /// last target's engine when all are down, and with `NoTargets` when
+    /// there are none (so an empty set never blames target 0's engine).
+    fn first_alive(&self, targets: impl IntoIterator<Item = u32>) -> Result<u32> {
+        let mut last = None;
+        for t in targets {
+            if self.d.engine_of_target(t).is_alive() {
+                return Ok(t);
+            }
+            last = Some(t);
+        }
+        Err(last.map_or(DaosError::NoTargets, |t| {
+            DaosError::EngineUnavailable(self.d.engine_index_of_target(t))
+        }))
+    }
+
+    /// Fails an attempt before its request is sent if any shard's engine
+    /// is down: writes need the full redundancy group.
+    fn check_live(&self, shards: &[Shard]) -> Result<()> {
+        shards
+            .iter()
+            .try_for_each(|s| self.engine_for(s.target).map(drop))
+    }
+
+    /// The live targets holding a KV key: every replica of a replicated
+    /// object, else the key's home target.
+    fn kv_home(&self, oid: Oid, key: &[u8]) -> impl Iterator<Item = u32> + '_ {
+        let n = self.pool_targets();
+        let replicated = oid.class().replicas(n) > 1;
+        let replicas = replicated.then(|| replica_targets(oid, n));
+        let home = (!replicated).then(|| kv_target(oid, key, n));
+        let targets = replicas.into_iter().flatten().chain(home);
+        targets.map(|t| self.live_target(t))
+    }
+
+    /// KV update placement: one shard per live target of every `(key,
+    /// bytes)` entry; an empty placement is `NoTargets`.
+    fn kv_updates<'k>(
+        &self,
+        oid: Oid,
+        entries: impl IntoIterator<Item = (&'k [u8], u64)>,
+    ) -> Result<Shards> {
+        let shards: Shards = entries
+            .into_iter()
+            .flat_map(|(key, bytes)| {
+                self.kv_home(oid, key)
+                    .map(move |t| Service::KvUpdate.at(t, bytes))
+            })
+            .collect();
+        self.check_live(&shards)?;
+        if shards.is_empty() {
+            return Err(DaosError::NoTargets);
+        }
+        Ok(shards)
+    }
+
+    /// Metadata target for `oid`: the leader, failing over across the
+    /// redundancy group (replicas, or EC data+parity cells).
+    fn meta_target(&self, oid: Oid) -> Result<u32> {
+        let n = self.pool_targets();
+        let (group, parity) = if oid.class() == ObjectClass::EC2P1 {
+            let (cells, parity) = ec_targets(oid, n);
+            (cells, Some(parity))
+        } else {
+            (replica_targets(oid, n), None)
+        };
+        self.first_alive(group.into_iter().chain(parity).map(|t| self.live_target(t)))
+    }
+
+    /// Array extent placement, live-mapped: every replica of a replicated
+    /// object takes the whole extent; otherwise each stripe target takes
+    /// the bytes of the chunks that land on it.
+    fn extent(&self, oid: Oid, offset: u64, len: u64) -> impl Iterator<Item = (u32, u64)> + '_ {
+        let n = self.pool_targets();
+        let replicated = oid.class().replicas(n) > 1;
+        let replicas = replicated.then(|| replica_targets(oid, n));
+        let stripes = (!replicated).then(|| array_target_shards(oid, offset, len, n));
+        let replicas = replicas.into_iter().flatten().map(move |t| (t, len));
+        let shards = replicas.chain(stripes.into_iter().flatten());
+        shards.map(|(t, b)| (self.live_target(t), b))
+    }
+
+    /// The live EC cells `[data 0, data 1, parity]` of an object that is
+    /// erasure-coded in this pool, else `None`. A malformed layout errors
+    /// rather than panicking mid-campaign.
+    fn ec_cells(&self, oid: Oid) -> Option<Result<[u32; 3]>> {
+        let n = self.pool_targets();
+        if oid.class() != ObjectClass::EC2P1 || oid.class().parity_cells(n) == 0 {
+            return None;
+        }
+        let (data, parity) = ec_targets(oid, n);
+        Some(match data[..] {
+            [d0, d1] => Ok([d0, d1, parity].map(|t| self.live_target(t))),
+            _ => Err(DaosError::NoTargets),
+        })
+    }
+
+    /// Runs one attempt of an object op over its live-checked `shards`
+    /// (DESIGN.md §3.4): request message → KV ops: engine meta on the
+    /// primary → object lock(s) → `objstore` span, and for KV ops the
+    /// leader's serial sleep (even when zero) → every shard served at once
+    /// ([`Self::serve`]), first error in shard order → `commit` (the pool
+    /// charge and store access, handed what a conditional insert found)
+    /// → response message. A failed shard or commit ends the attempt
+    /// without a response.
+    async fn rpc<T>(
+        &self,
+        cont: &SimCont,
+        oid: Oid,
+        section: Section<'_>,
+        shards: &[Shard],
+        commit: impl AsyncFnOnce(Option<Bytes>) -> Result<T>,
+    ) -> Result<T> {
+        let cal = &self.d.spec.calibration;
+        let kv = |span, serial| (Some(span), Some(serial), &[0][..]);
+        let (span, serial, chunks) = match section {
+            Section::Meta => (None, None, &[][..]),
+            Section::KvUpdate(_) => kv("kv_update", cal.kv_update_serial_cost),
+            Section::KvFetch => kv("kv_fetch", cal.kv_fetch_serial_cost),
+            Section::ArrayUpdate(chunks) => (Some("array_update"), None, chunks),
+            Section::ArrayFetch(chunks) => (Some("array_fetch"), None, chunks),
+        };
+        self.latency().await;
+        let out = {
+            if let (Some(_), Some(primary)) = (serial, shards.first()) {
+                let engine = self.d.engine_of_target(primary.target);
+                self.engine_serial(engine, self.cont_table_cost()).await;
+            }
+            // Held locks release in acquisition order.
+            let mut held = (None, Vec::new());
+            for &chunk in chunks {
+                let lock = self.d.obj_lock(cont.uuid, oid, chunk);
+                let guard = lock.acquire_one(self.lane()).await;
+                match held.0 {
+                    None => held.0 = Some(guard),
+                    Some(_) => held.1.push(guard),
+                }
+            }
+            let _os = span.map(|name| self.d.sim.span("objstore", name));
+            if let Some(cost) = serial {
+                self.d.sim.sleep(cost).await;
+            }
+            // The presence check runs inside the serial section, so racing
+            // inserts of one key resolve to exactly one winner. A loser
+            // pays a leader read, not the replica writes.
+            let found = match section {
+                Section::KvUpdate(Some(key)) => cont.cont.kv_get(oid, key)?,
+                _ => None,
+            };
+            let leader_read = (found.as_ref().and(shards.first()))
+                .map(|primary| Service::KvFetch.at(primary.target, cal.kv_entry_bytes));
+            let shards = leader_read.as_ref().map_or(shards, std::slice::from_ref);
+            // A lone shard is awaited directly: the same polls as a
+            // one-slot join, without its allocations.
+            if let [one] = shards {
+                self.serve(*one).await?;
+            } else {
+                let all = join_all(shards.iter().map(|&s| self.serve(s)).collect()).await;
+                all.into_iter().collect::<Result<()>>()?;
+            }
+            commit(found).await?
+        };
+        self.latency().await;
+        Ok(out)
+    }
+
+    /// Serves one shard at its target. Bulk shards re-check their engine
+    /// and pipeline their wire flow with the media service.
+    async fn serve(&self, s: Shard) -> Result<()> {
+        let cal = &self.d.spec.calibration;
+        let (cpu, write, bulk) = match s.service {
+            Service::Small(service) => {
+                let engine = self.d.engine_of_target(s.target);
+                self.engine_serial(engine, self.cont_table_cost()).await;
+                self.target_service(s.target, service).await;
+                return Ok(());
+            }
+            Service::KvUpdate => (cal.kv_op_cost, true, false),
+            Service::KvFetch => (cal.kv_op_cost, false, false),
+            Service::BulkWrite => (cal.rpc_cpu_cost, true, true),
+            Service::BulkRead => (cal.rpc_cpu_cost, false, true),
+        };
+        let flow = if bulk {
+            let engine = self.engine_for(s.target)?;
+            self.engine_serial(engine, cal.shard_dispatch_cost).await;
+            let e = self.d.engine_index_of_target(s.target);
+            let (route, from, to) = if write {
+                (self.d.write_route_id(self.ep, e), self.ep, engine.endpoint)
+            } else {
+                (self.d.read_route_id(e, self.ep), engine.endpoint, self.ep)
+            };
+            let cap = self.d.fabric.flow_cap(from, to);
+            Some(self.d.fabric.net().transfer_interned(route, s.bytes, cap))
+        } else {
+            None
+        };
+        let tgt = self.d.target(s.target);
+        let media = if write {
+            let media = self.charge_media(s.target, s.bytes)?;
+            tgt.tally.note_write(s.bytes);
+            media
+        } else {
+            let media = tgt.media.read_time(s.bytes);
+            tgt.tally.note_read(s.bytes);
+            media
+        };
+        let service = self.target_service(s.target, cpu + media);
+        match flow {
+            Some(flow) => _ = join2(flow, service).await,
+            None => service.await,
+        }
+        Ok(())
+    }
+
+    /// Charges `bytes` to target `t`'s media, priced at the receiving
+    /// tier's rates; both tiers full is `NoSpace` (DESIGN.md §14).
+    fn charge_media(&self, t: u32, bytes: u64) -> Result<SimDuration> {
+        let charge = self.d.target(t).media.charge_write(bytes);
+        charge.map(|c| c.time).map_err(|_| DaosError::NoSpace)
+    }
+
+    /// Container-handle validation cost, growing with the pool's
+    /// container population.
+    fn cont_table_cost(&self) -> SimDuration {
+        let cal = &self.d.spec.calibration;
+        cal.cont_table_cost(self.d.pool.cont_count())
+    }
+
+    /// Engine-serial work (container-handle validation, shard dispatch)
+    /// on the engine's metadata executor; a zero cost skips the queue.
+    async fn engine_serial(&self, engine: &Engine, cost: SimDuration) {
         if cost > SimDuration::ZERO {
             let _p = engine.meta.acquire_one(self.lane()).await;
             self.d.sim.sleep(cost).await;
@@ -301,7 +550,7 @@ impl SimClient {
     /// Occupies target `t` for `service` time, FIFO behind earlier work.
     async fn target_service(&self, t: u32, service: SimDuration) {
         let tgt = self.d.target(t);
-        // Leaf spans: shard RPCs run concurrently under `join_all`, so
+        // Leaf spans: shard RPCs run concurrently in the fan-out, so
         // these must not adopt children on the shared task stack.
         let q = self.d.sim.span_leaf("media", "queue");
         // The backlog token covers exactly the queue wait; its Drop makes
@@ -315,942 +564,232 @@ impl SimClient {
         tgt.charge_busy(service.as_nanos());
     }
 
-    /// One small (metadata-sized) RPC to the target owning `t`.
-    async fn small_rpc(&self, t: u32, service: SimDuration) -> Result<()> {
-        let engine = self.engine_for(t)?;
-        self.latency().await;
-        self.engine_meta(engine).await;
-        self.target_service(t, service).await;
-        self.latency().await;
-        Ok(())
+    /// A retried metadata op: an RPC to `oid`'s metadata target, then
+    /// `commit` touches the store after the response.
+    async fn meta_op<T>(
+        &self,
+        op: ClientOp,
+        cont: &SimCont,
+        oid: Oid,
+        service: impl Fn(&Target) -> SimDuration,
+        commit: impl Fn(&Container) -> Result<T>,
+    ) -> Result<T> {
+        self.retrying(op, || async {
+            let t = self.meta_target(oid)?;
+            let shard = Service::Small(service(self.d.target(t))).at(t, 0);
+            self.rpc(cont, oid, Section::Meta, &[shard], async |_| Ok(()))
+                .await?;
+            commit(&cont.cont)
+        })
+        .await
     }
 
-    /// The first replica target whose engine is alive; errors with the
-    /// last replica's engine when every one is down, and with
-    /// [`DaosError::NoTargets`] when handed no candidates at all (so an
-    /// empty slice never blames target 0's engine). Degraded reads and
-    /// metadata operations on replicated objects fail over through this.
-    fn first_alive(&self, targets: &[u32]) -> Result<u32> {
-        let Some(&last) = targets.last() else {
-            return Err(DaosError::NoTargets);
-        };
-        for &t in targets {
-            if self.d.engine_of_target(t).is_alive() {
-                return Ok(t);
-            }
+    /// Installs an object record on `targets`, charging their media at
+    /// placement; a target whose charge fails is skipped, and the op
+    /// fails once the others are served.
+    async fn install(&self, cont: &SimCont, oid: Oid, targets: &[u32]) -> Result<()> {
+        (targets.iter()).try_for_each(|&t| self.engine_for(t).map(drop))?;
+        let cost = self.d.spec.calibration.array_create_cost;
+        let mut charged = Ok(());
+        let shards: Shards = targets
+            .iter()
+            .filter_map(|&t| match self.charge_media(t, 128) {
+                Ok(media) => Some(Service::Small(cost + media).at(t, 128)),
+                Err(e) => {
+                    charged = Err(e);
+                    None
+                }
+            })
+            .collect();
+        if !shards.is_empty() {
+            self.rpc(cont, oid, Section::Meta, &shards, async |_| Ok(()))
+                .await?;
         }
-        Err(DaosError::EngineUnavailable(
-            self.d.engine_index_of_target(last),
-        ))
+        charged
     }
 
-    /// Metadata target for `oid`: the leader, failing over across the
-    /// redundancy group (replicas, or EC data+parity cells).
-    fn meta_target(&self, oid: Oid) -> Result<u32> {
-        let mut candidates = if oid.class() == ObjectClass::EC2P1 {
-            let (mut dts, pt) = ec_targets(oid, self.pool_targets());
-            dts.push(pt);
-            dts
+    /// Array update of `iovs` under the `chunks` locks. An erasure-coded
+    /// object takes one whole-object extent as two data cells plus the
+    /// XOR parity cell.
+    async fn write_extents(
+        &self,
+        cont: &SimCont,
+        oid: Oid,
+        iovs: &[(u64, Bytes)],
+        chunks: &[u64],
+    ) -> Result<()> {
+        for (offset, data) in iovs {
+            extent_end(*offset, data.len() as u64)?;
+        }
+        if iovs.is_empty() {
+            return Ok(());
+        }
+        let mut parity = None;
+        let shards: Shards = if let Some(cells) = self.ec_cells(oid) {
+            let [(0, data)] = iovs else {
+                let msg = "EC objects support one whole-object extent, at offset 0";
+                return Err(DaosError::InvalidArg(msg));
+            };
+            let (h0, h1) = ec::split_halves(data);
+            let p = Bytes::from(ec::xor_parity(&h0, &h1));
+            let sizes = [h0.len(), h1.len(), p.len()];
+            parity = Some(p);
+            (cells?.into_iter().zip(sizes))
+                .map(|(t, b)| Service::BulkWrite.at(t, b as u64))
+                .collect()
         } else {
-            replica_targets(oid, self.pool_targets())
+            iovs.iter()
+                .flat_map(|(offset, data)| self.extent(oid, *offset, data.len() as u64))
+                .map(|(t, b)| Service::BulkWrite.at(t, b))
+                .collect()
         };
-        for t in &mut candidates {
-            *t = self.live_target(*t);
-        }
-        self.first_alive(&candidates)
+        self.check_live(&shards)?;
+        let total = iovs.iter().map(|(_, d)| d.len() as u64).sum();
+        let section = Section::ArrayUpdate(chunks);
+        self.rpc(cont, oid, section, &shards, async |_| {
+            self.d.pool.charge(total)?;
+            match iovs {
+                [(offset, data)] => cont.cont.array_write(oid, *offset, data.clone())?,
+                _ => cont.cont.array_write_vec(oid, iovs.to_vec())?,
+            }
+            if let Some(parity) = parity {
+                self.d.pool.charge(parity.len() as u64)?;
+                cont.cont.array_set_parity(oid, parity)?;
+            }
+            Ok(())
+        })
+        .await
     }
 
-    /// Engine-serial dispatch work per bulk shard RPC.
-    async fn shard_dispatch(&self, engine: &Engine) {
-        let cost = self.d.spec.calibration.shard_dispatch_cost;
-        if cost > SimDuration::ZERO {
-            let _p = engine.meta.acquire_one(self.lane()).await;
+    /// A pool-service RPC: a round trip around serial work at the pool
+    /// metadata service, priced by `plan` on arrival.
+    async fn pool_rpc<S, T>(
+        &self,
+        plan: impl FnOnce() -> (SimDuration, S),
+        commit: impl FnOnce(S) -> Result<T>,
+    ) -> Result<T> {
+        self.latency().await;
+        let (cost, planned) = plan();
+        {
+            let _p = self.d.pool_md.acquire_one(self.lane()).await;
             self.d.sim.sleep(cost).await;
         }
+        let out = commit(planned)?;
+        self.latency().await;
+        Ok(out)
     }
 
-    /// Bulk write of one shard: the wire flow and the media reservation
-    /// run concurrently (streamed I/O pipelines them in reality).
-    async fn shard_write(&self, t: u32, bytes: u64) -> Result<()> {
-        let engine = self.engine_for(t)?;
-        self.shard_dispatch(engine).await;
-        let cal = &self.d.spec.calibration;
-        let route = self
-            .d
-            .write_route_id(self.ep, self.d.engine_index_of_target(t));
-        let cap = self.d.fabric.flow_cap(self.ep, engine.endpoint);
-        let flow = self.d.fabric.net().transfer_interned(route, bytes, cap);
-        // Tier placement charges occupancy and prices the write at the
-        // receiving tier's rates; both tiers full is the permanent
-        // out-of-space error (DESIGN.md §14).
-        let charge = self
-            .d
-            .target(t)
-            .media
-            .charge_write(bytes)
-            .map_err(|_| DaosError::NoSpace)?;
-        let media = cal.rpc_cpu_cost + charge.time;
-        self.d.target(t).tally.note_write(bytes);
-        let service = self.target_service(t, media);
-        join2(flow, service).await;
-        Ok(())
-    }
-
-    /// Bulk read of one shard, symmetric to [`Self::shard_write`].
-    async fn shard_read(&self, t: u32, bytes: u64) -> Result<()> {
-        let engine = self.engine_for(t)?;
-        self.shard_dispatch(engine).await;
-        let cal = &self.d.spec.calibration;
-        let route = self
-            .d
-            .read_route_id(self.d.engine_index_of_target(t), self.ep);
-        let cap = self.d.fabric.flow_cap(engine.endpoint, self.ep);
-        let flow = self.d.fabric.net().transfer_interned(route, bytes, cap);
-        let media = cal.rpc_cpu_cost + self.d.target(t).media.read_time(bytes);
-        self.d.target(t).tally.note_read(bytes);
-        let service = self.target_service(t, media);
-        join2(flow, service).await;
-        Ok(())
-    }
-
-    /// Runs `attempt` under the deployment's [`RetryPolicy`]: each
-    /// attempt is deadline-bounded (when configured); transient failures
-    /// (engine unavailable, attempt timeout) back off exponentially with
-    /// deterministic jitter and re-run — re-computing placement, so
-    /// pool-map changes installed by a rebuild and engines revived in the
-    /// meantime are picked up (failover); permanent errors return
-    /// immediately. With the default fail-fast policy this is a plain
-    /// pass-through. Safe to re-run attempts: store mutations and pool
-    /// charges land only at an attempt's completion, so a timed-out
-    /// (dropped) attempt leaves no partial state.
+    /// Runs `attempt` under the deployment's retry policy: deadline-bound
+    /// attempts; transient failures back off with deterministic jitter
+    /// and re-run, re-computing placement (failover); permanent errors
+    /// return at once. The default fail-fast policy is a pass-through.
+    ///
+    /// A dropped (timed-out) attempt leaves no store write: pool charge
+    /// and store mutation happen only in the commit stage of
+    /// [`Self::rpc`]. Media is charged at one point,
+    /// [`Self::charge_media`], when an update shard starts (creates: at
+    /// placement), before the target queue wait. A dropped attempt keeps
+    /// that charge, and its retry charges again (ROADMAP item 4).
     async fn retrying<T, Fut>(&self, op: ClientOp, mut attempt: impl FnMut() -> Fut) -> Result<T>
     where
         Fut: std::future::Future<Output = Result<T>>,
     {
-        let sim = self.d.sim.clone();
+        let (sim, policy, stats) = (&self.d.sim, self.d.spec.retry, self.d.resilience());
         let op_span = sim.span("client", op.name());
         let start = sim.now();
-        let result = {
-            let sim = &sim;
-            async move {
-                let policy = self.d.spec.retry;
-                if !policy.enabled() {
-                    let _a = sim.span("client", "attempt");
-                    return attempt().await;
+        let mut saw_unavailable = false;
+        let mut n = 0u32;
+        let result = loop {
+            n += 1;
+            let result = {
+                let _a = sim.span("client", "attempt");
+                if policy.enabled() && policy.attempt_timeout > SimDuration::ZERO {
+                    let timed = timeout(sim, policy.attempt_timeout, attempt()).await;
+                    timed.unwrap_or_else(|Elapsed| {
+                        stats.note_timeout();
+                        Err(DaosError::Timeout(op.name()))
+                    })
+                } else {
+                    attempt().await
                 }
-                let stats = self.d.resilience();
-                let mut saw_unavailable = false;
-                let mut n = 0u32;
-                loop {
-                    n += 1;
-                    let result = {
-                        let _a = sim.span("client", "attempt");
-                        if policy.attempt_timeout > SimDuration::ZERO {
-                            match timeout(sim, policy.attempt_timeout, attempt()).await {
-                                Ok(r) => r,
-                                Err(Elapsed) => {
-                                    stats.note_timeout();
-                                    Err(DaosError::Timeout(op.name()))
-                                }
-                            }
-                        } else {
-                            attempt().await
-                        }
-                    };
-                    match result {
-                        Ok(v) => {
-                            if saw_unavailable {
-                                stats.note_failover();
-                            }
-                            return Ok(v);
-                        }
-                        Err(e) if e.is_transient() => {
-                            saw_unavailable |= matches!(e, DaosError::EngineUnavailable(_));
-                            let deadline_hit = policy.op_deadline > SimDuration::ZERO
-                                && sim.now() - start >= policy.op_deadline;
-                            if n >= policy.max_attempts || deadline_hit {
-                                stats.note_gave_up();
-                                return Err(e);
-                            }
-                            stats.note_retry();
-                            let salt = jitter_salt(self.ep, sim.now().as_nanos(), n);
-                            sim.sleep(policy.backoff_delay(n, salt)).await;
-                        }
-                        Err(e) => return Err(e),
+            };
+            match result {
+                Err(e) if e.is_transient() && policy.enabled() => {
+                    saw_unavailable |= matches!(e, DaosError::EngineUnavailable(_));
+                    let deadline_hit = policy.op_deadline > SimDuration::ZERO
+                        && sim.now() - start >= policy.op_deadline;
+                    if n >= policy.max_attempts || deadline_hit {
+                        stats.note_gave_up();
+                        break Err(e);
                     }
+                    stats.note_retry();
+                    let salt = jitter_salt(self.ep, sim.now().as_nanos(), n);
+                    sim.sleep(policy.backoff_delay(n, salt)).await;
+                }
+                result => {
+                    if result.is_ok() && saw_unavailable {
+                        stats.note_failover();
+                    }
+                    break result;
                 }
             }
-            .await
         };
-        self.d
-            .client_metrics()
-            .note_op(op, self.qos, (sim.now() - start).as_nanos());
+        let elapsed = (sim.now() - start).as_nanos();
+        self.d.client_metrics().note_op(op, self.qos, elapsed);
         op_span.end();
         result
     }
 }
 
-/// Single-attempt operation bodies: one placement computation plus one
-/// wire exchange each. The [`DaosApi`] impl re-runs these through
-/// [`SimClient::retrying`], which is how failover re-consults the pool
-/// map — placement happens inside the attempt.
-impl SimClient {
-    async fn cont_open_or_create_once(&self, uuid: Uuid) -> Result<SimCont> {
-        self.latency().await;
-        let cal = &self.d.spec.calibration;
-        let exists = self.d.pool.cont_open(uuid).is_ok();
-        {
-            let _p = self.d.pool_md.acquire_one(self.lane()).await;
-            let cost = if exists {
-                cal.cont_open_cost
-            } else {
-                cal.cont_create_cost
-            };
-            self.d.sim.sleep(cost).await;
-        }
-        let cont = self.d.pool.cont_open_or_create(uuid)?;
-        self.latency().await;
-        Ok(SimCont { uuid, cont })
-    }
-
-    async fn cont_open_once(&self, uuid: Uuid) -> Result<SimCont> {
-        self.latency().await;
-        {
-            let _p = self.d.pool_md.acquire_one(self.lane()).await;
-            self.d
-                .sim
-                .sleep(self.d.spec.calibration.cont_open_cost)
-                .await;
-        }
-        let cont = self.d.pool.cont_open(uuid)?;
-        self.latency().await;
-        Ok(SimCont { uuid, cont })
-    }
-
-    async fn kv_put_once(&self, cont: &SimCont, oid: Oid, key: &[u8], value: Bytes) -> Result<()> {
-        let cal = self.d.spec.calibration;
-        // Updates land on every replica of the key's home target;
-        // unreplicated classes have exactly one.
-        let targets: Vec<u32> = if oid.class().replicas(self.pool_targets()) > 1 {
-            replica_targets(oid, self.pool_targets())
-        } else {
-            vec![kv_target(oid, key, self.pool_targets())]
-        };
-        let targets: Vec<u32> = targets.into_iter().map(|t| self.live_target(t)).collect();
-        for &t in &targets {
-            self.engine_for(t)?;
-        }
-        // Placement can legitimately come back empty mid-fault-campaign
-        // (a just-killed pool can remap every candidate away); error like
-        // `first_alive` does instead of indexing into nothing.
-        let Some(&primary) = targets.first() else {
-            return Err(DaosError::NoTargets);
-        };
-        let engine = self.engine_for(primary)?;
-        self.latency().await;
-        self.engine_meta(engine).await;
-        // Conflicting updates to one object serialize on its update lock
-        // for the leader-serialization cost plus the target service.
-        let lock = self.d.obj_lock(cont.uuid, oid, 0);
-        {
-            let _g = lock.acquire_one(self.lane()).await;
-            let _os = self.d.sim.span("objstore", "kv_update");
-            self.d.sim.sleep(cal.kv_update_serial_cost).await;
-            let bytes = (key.len() + value.len()) as u64;
-            let updates: Vec<_> = targets
-                .iter()
-                .map(|&t| {
-                    let this = self.clone();
-                    async move {
-                        let charge = this
-                            .d
-                            .target(t)
-                            .media
-                            .charge_write(bytes)
-                            .map_err(|_| DaosError::NoSpace)?;
-                        let service = cal.kv_op_cost + charge.time;
-                        this.d.target(t).tally.note_write(bytes);
-                        this.target_service(t, service).await;
-                        Ok::<(), DaosError>(())
-                    }
-                })
-                .collect();
-            for r in join_all(updates).await {
-                r?;
-            }
-            self.d.pool.charge(bytes)?;
-            cont.cont.kv_put(oid, key, value)?;
-        }
-        self.latency().await;
-        Ok(())
-    }
-
-    /// Conditional KV insert: same placement, round trip and leader
-    /// serial section as `kv_put_once`, but the presence check happens
-    /// *inside* the serial section, so racing inserts on one key resolve
-    /// to exactly one winner. A losing insert pays the round trip and a
-    /// leader read, not the replica writes.
-    async fn kv_put_if_absent_once(
-        &self,
-        cont: &SimCont,
-        oid: Oid,
-        key: &[u8],
-        value: Bytes,
-    ) -> Result<Option<Bytes>> {
-        let cal = self.d.spec.calibration;
-        let targets: Vec<u32> = if oid.class().replicas(self.pool_targets()) > 1 {
-            replica_targets(oid, self.pool_targets())
-        } else {
-            vec![kv_target(oid, key, self.pool_targets())]
-        };
-        let targets: Vec<u32> = targets.into_iter().map(|t| self.live_target(t)).collect();
-        for &t in &targets {
-            self.engine_for(t)?;
-        }
-        let Some(&primary) = targets.first() else {
-            return Err(DaosError::NoTargets);
-        };
-        let engine = self.engine_for(primary)?;
-        self.latency().await;
-        self.engine_meta(engine).await;
-        let lock = self.d.obj_lock(cont.uuid, oid, 0);
-        let out;
-        {
-            let _g = lock.acquire_one(self.lane()).await;
-            let _os = self.d.sim.span("objstore", "kv_update");
-            self.d.sim.sleep(cal.kv_update_serial_cost).await;
-            if let Some(existing) = cont.cont.kv_get(oid, key)? {
-                let service =
-                    cal.kv_op_cost + self.d.target(primary).media.read_time(cal.kv_entry_bytes);
-                self.d.target(primary).tally.note_read(cal.kv_entry_bytes);
-                self.target_service(primary, service).await;
-                out = Some(existing);
-            } else {
-                let bytes = (key.len() + value.len()) as u64;
-                let updates: Vec<_> = targets
-                    .iter()
-                    .map(|&t| {
-                        let this = self.clone();
-                        async move {
-                            let charge = this
-                                .d
-                                .target(t)
-                                .media
-                                .charge_write(bytes)
-                                .map_err(|_| DaosError::NoSpace)?;
-                            let service = cal.kv_op_cost + charge.time;
-                            this.d.target(t).tally.note_write(bytes);
-                            this.target_service(t, service).await;
-                            Ok::<(), DaosError>(())
-                        }
-                    })
-                    .collect();
-                for r in join_all(updates).await {
-                    r?;
-                }
-                self.d.pool.charge(bytes)?;
-                cont.cont.kv_put(oid, key, value)?;
-                out = None;
-            }
-        }
-        self.latency().await;
-        Ok(out)
-    }
-
-    /// KV key removal: the update path of `kv_put_once` (every replica of
-    /// the key's home target services the tombstone write). Removing an
-    /// absent key is a successful no-op, per the `DaosApi` contract.
-    async fn kv_remove_once(&self, cont: &SimCont, oid: Oid, key: &[u8]) -> Result<()> {
-        let cal = self.d.spec.calibration;
-        let targets: Vec<u32> = if oid.class().replicas(self.pool_targets()) > 1 {
-            replica_targets(oid, self.pool_targets())
-        } else {
-            vec![kv_target(oid, key, self.pool_targets())]
-        };
-        let targets: Vec<u32> = targets.into_iter().map(|t| self.live_target(t)).collect();
-        for &t in &targets {
-            self.engine_for(t)?;
-        }
-        let Some(&primary) = targets.first() else {
-            return Err(DaosError::NoTargets);
-        };
-        let engine = self.engine_for(primary)?;
-        self.latency().await;
-        self.engine_meta(engine).await;
-        let lock = self.d.obj_lock(cont.uuid, oid, 0);
-        {
-            let _g = lock.acquire_one(self.lane()).await;
-            let _os = self.d.sim.span("objstore", "kv_update");
-            self.d.sim.sleep(cal.kv_update_serial_cost).await;
-            let bytes = key.len() as u64;
-            let updates: Vec<_> = targets
-                .iter()
-                .map(|&t| {
-                    let this = self.clone();
-                    async move {
-                        let charge = this
-                            .d
-                            .target(t)
-                            .media
-                            .charge_write(bytes)
-                            .map_err(|_| DaosError::NoSpace)?;
-                        let service = cal.kv_op_cost + charge.time;
-                        this.d.target(t).tally.note_write(bytes);
-                        this.target_service(t, service).await;
-                        Ok::<(), DaosError>(())
-                    }
-                })
-                .collect();
-            for r in join_all(updates).await {
-                r?;
-            }
-            match cont.cont.kv_remove(oid, key) {
-                Ok(_) | Err(DaosError::ObjNotFound(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        self.latency().await;
-        Ok(())
-    }
-
-    /// Vectorized KV update: the whole batch rides one request — one
-    /// latency round trip, one container-handle validation and one
-    /// leader serial section — then every pair's replica services run
-    /// concurrently. This is where batching beats N sequential puts.
-    async fn kv_put_multi_once(
-        &self,
-        cont: &SimCont,
-        oid: Oid,
-        pairs: Vec<(Bytes, Bytes)>,
-    ) -> Result<()> {
-        if pairs.is_empty() {
-            return Ok(());
-        }
-        let cal = self.d.spec.calibration;
-        let replicated = oid.class().replicas(self.pool_targets()) > 1;
-        // Per-pair destinations, exactly as each pair's own kv_put would
-        // place it.
-        let dests: Vec<(Vec<u32>, u64)> = pairs
-            .iter()
-            .map(|(key, value)| {
-                let targets: Vec<u32> = if replicated {
-                    replica_targets(oid, self.pool_targets())
-                } else {
-                    vec![kv_target(oid, key, self.pool_targets())]
-                };
-                let targets: Vec<u32> = targets.into_iter().map(|t| self.live_target(t)).collect();
-                (targets, (key.len() + value.len()) as u64)
-            })
-            .collect();
-        for (targets, _) in &dests {
-            for &t in targets {
-                self.engine_for(t)?;
-            }
-        }
-        // `pairs` is non-empty here, but a pair's target list can still be
-        // empty under a hostile pool map — fail like `first_alive`, don't
-        // index.
-        let primary = dests
-            .first()
-            .and_then(|(targets, _)| targets.first().copied())
-            .ok_or(DaosError::NoTargets)?;
-        let engine = self.engine_for(primary)?;
-        self.latency().await;
-        self.engine_meta(engine).await;
-        let lock = self.d.obj_lock(cont.uuid, oid, 0);
-        {
-            let _g = lock.acquire_one(self.lane()).await;
-            let _os = self.d.sim.span("objstore", "kv_update");
-            self.d.sim.sleep(cal.kv_update_serial_cost).await;
-            let updates: Vec<_> = dests
-                .iter()
-                .flat_map(|(targets, bytes)| targets.iter().map(move |&t| (t, *bytes)))
-                .map(|(t, bytes)| {
-                    let this = self.clone();
-                    async move {
-                        let charge = this
-                            .d
-                            .target(t)
-                            .media
-                            .charge_write(bytes)
-                            .map_err(|_| DaosError::NoSpace)?;
-                        let service = cal.kv_op_cost + charge.time;
-                        this.d.target(t).tally.note_write(bytes);
-                        this.target_service(t, service).await;
-                        Ok::<(), DaosError>(())
-                    }
-                })
-                .collect();
-            for r in join_all(updates).await {
-                r?;
-            }
-            let total: u64 = dests.iter().map(|(_, b)| *b).sum();
-            self.d.pool.charge(total)?;
-            cont.cont.kv_put_multi(oid, pairs)?;
-        }
-        self.latency().await;
-        Ok(())
-    }
-
-    async fn kv_get_once(&self, cont: &SimCont, oid: Oid, key: &[u8]) -> Result<Option<Bytes>> {
-        let cal = self.d.spec.calibration;
-        let t = if oid.class().replicas(self.pool_targets()) > 1 {
-            let reps: Vec<u32> = replica_targets(oid, self.pool_targets())
-                .into_iter()
-                .map(|t| self.live_target(t))
-                .collect();
-            self.first_alive(&reps)?
-        } else {
-            self.live_target(kv_target(oid, key, self.pool_targets()))
-        };
-        let engine = self.engine_for(t)?;
-        self.latency().await;
-        self.engine_meta(engine).await;
-        let lock = self.d.obj_lock(cont.uuid, oid, 0);
-        let out;
-        {
-            let _g = lock.acquire_one(self.lane()).await;
-            let _os = self.d.sim.span("objstore", "kv_fetch");
-            self.d.sim.sleep(cal.kv_fetch_serial_cost).await;
-            let service = cal.kv_op_cost + self.d.target(t).media.read_time(cal.kv_entry_bytes);
-            self.d.target(t).tally.note_read(cal.kv_entry_bytes);
-            self.target_service(t, service).await;
-            out = cont.cont.kv_get(oid, key)?;
-        }
-        self.latency().await;
-        Ok(out)
-    }
-
-    async fn kv_list_keys_once(&self, cont: &SimCont, oid: Oid) -> Result<Vec<Bytes>> {
-        let cal = self.d.spec.calibration;
-        let t = self.meta_target(oid)?;
-        self.small_rpc(t, cal.kv_op_cost).await?;
-        cont.cont.kv_list_keys(oid)
-    }
-
-    /// Range listing: same RPC shape and cost as a full listing — the
-    /// server walks less of the key space, not more.
-    async fn kv_list_range_once(
-        &self,
-        cont: &SimCont,
-        oid: Oid,
-        from: &[u8],
-        until: Option<&[u8]>,
-    ) -> Result<Vec<Bytes>> {
-        let cal = self.d.spec.calibration;
-        let t = self.meta_target(oid)?;
-        self.small_rpc(t, cal.kv_op_cost).await?;
-        cont.cont.kv_list_range(oid, from, until)
-    }
-
-    async fn array_create_once(&self, cont: &SimCont, oid: Oid) -> Result<()> {
-        let cal = self.d.spec.calibration;
-        // Creation installs metadata on every replica, concurrently.
-        let reps: Vec<u32> = replica_targets(oid, self.pool_targets())
-            .into_iter()
-            .map(|t| self.live_target(t))
-            .collect();
-        for &t in &reps {
-            self.engine_for(t)?;
-        }
-        let creates: Vec<_> = reps
-            .iter()
-            .map(|&t| {
-                let this = self.clone();
-                async move {
-                    let charge = this
-                        .d
-                        .target(t)
-                        .media
-                        .charge_write(128)
-                        .map_err(|_| DaosError::NoSpace)?;
-                    let service = cal.array_create_cost + charge.time;
-                    this.small_rpc(t, service).await
-                }
-            })
-            .collect();
-        for r in join_all(creates).await {
-            r?;
-        }
-        cont.cont.array_create(oid)
-    }
-
-    async fn array_open_once(&self, cont: &SimCont, oid: Oid) -> Result<()> {
-        let cal = self.d.spec.calibration;
-        let t = self.meta_target(oid)?;
-        let service = cal.array_open_cost + self.d.target(t).media.read_time(128);
-        self.small_rpc(t, service).await?;
-        cont.cont.array_open(oid)
-    }
-
-    async fn array_open_or_create_once(&self, cont: &SimCont, oid: Oid) -> Result<()> {
-        let cal = self.d.spec.calibration;
-        let t = self.live_target(leader_target(oid, self.pool_targets()));
-        self.engine_for(t)?;
-        let charge = self
-            .d
-            .target(t)
-            .media
-            .charge_write(128)
-            .map_err(|_| DaosError::NoSpace)?;
-        let service = cal.array_create_cost + charge.time;
-        self.small_rpc(t, service).await?;
-        cont.cont.array_open_or_create(oid)
-    }
-
-    async fn array_write_once(
-        &self,
-        cont: &SimCont,
-        oid: Oid,
-        offset: u64,
-        data: Bytes,
-    ) -> Result<()> {
-        let len = data.len() as u64;
-        // Replicated classes write every replica synchronously; erasure-
-        // coded objects write two data cells plus the XOR parity cell;
-        // striped classes write one shard per stripe target.
-        let is_ec =
-            oid.class() == ObjectClass::EC2P1 && oid.class().parity_cells(self.pool_targets()) > 0;
-        let mut ec_parity: Option<Bytes> = None;
-        let shards: Vec<(u32, u64)> = if is_ec {
-            if offset != 0 {
-                return Err(DaosError::InvalidArg(
-                    "EC objects support whole-object writes at offset 0",
-                ));
-            }
-            let (h0, h1) = ec::split_halves(&data);
-            let parity = Bytes::from(ec::xor_parity(&h0, &h1));
-            // EC2P1 placement always yields two data cells; destructure
-            // instead of indexing so a malformed layout errors rather
-            // than panicking mid-campaign.
-            let (dts, pt) = ec_targets(oid, self.pool_targets());
-            let &[d0, d1] = &dts[..] else {
-                return Err(DaosError::NoTargets);
-            };
-            let shards = vec![
-                (d0, h0.len() as u64),
-                (d1, h1.len() as u64),
-                (pt, parity.len() as u64),
-            ];
-            ec_parity = Some(parity);
-            shards
-        } else if oid.class().replicas(self.pool_targets()) > 1 {
-            replica_targets(oid, self.pool_targets())
-                .into_iter()
-                .map(|t| (t, len))
-                .collect()
-        } else {
-            array_target_shards(oid, offset, len, self.pool_targets())
-        };
-        let shards: Vec<(u32, u64)> = shards
-            .into_iter()
-            .map(|(t, b)| (self.live_target(t), b))
-            .collect();
-        // The attempt fails fast if any owning engine is down — writes
-        // require the full redundancy group; transient recovery (retry,
-        // backoff, pool-map re-consultation) lives in the `retrying`
-        // wrapper around this body.
-        for (t, _) in &shards {
-            self.engine_for(*t)?;
-        }
-        self.latency().await;
-        let lock = self.d.obj_lock(cont.uuid, oid, offset / ARRAY_CHUNK);
-        {
-            let _g = lock.acquire_one(self.lane()).await;
-            let _os = self.d.sim.span("objstore", "array_update");
-            let writes: Vec<_> = shards
-                .iter()
-                .map(|&(t, bytes)| {
-                    let this = self.clone();
-                    async move { this.shard_write(t, bytes).await }
-                })
-                .collect();
-            for r in join_all(writes).await {
-                r?;
-            }
-            self.d.pool.charge(len)?;
-            cont.cont.array_write(oid, offset, data)?;
-            if let Some(parity) = ec_parity {
-                self.d.pool.charge(parity.len() as u64)?;
-                cont.cont.array_set_parity(oid, parity)?;
-            }
-        }
-        self.latency().await;
-        Ok(())
-    }
-
-    /// Scatter-gather write: all extents ride one request and one lock
-    /// acquisition pass, their shard flows and media services running
-    /// concurrently. EC objects only support their whole-object write
-    /// shape, so multi-extent EC batches are rejected up front.
-    async fn array_write_vec_once(
-        &self,
-        cont: &SimCont,
-        oid: Oid,
-        iovs: Vec<(u64, Bytes)>,
-    ) -> Result<()> {
-        if iovs.is_empty() {
-            return Ok(());
-        }
-        let is_ec =
-            oid.class() == ObjectClass::EC2P1 && oid.class().parity_cells(self.pool_targets()) > 0;
-        if iovs.len() == 1 || is_ec {
-            if iovs.len() > 1 {
-                return Err(DaosError::InvalidArg(
-                    "EC objects support a single whole-object extent per write",
-                ));
-            }
-            let Some((offset, data)) = iovs.into_iter().next() else {
-                return Ok(());
-            };
-            return self.array_write_once(cont, oid, offset, data).await;
-        }
-        let replicated = oid.class().replicas(self.pool_targets()) > 1;
-        // Shards of every extent, as its own array_write would place them.
-        let mut shards: Vec<(u32, u64)> = Vec::new();
-        for (offset, data) in &iovs {
-            let len = data.len() as u64;
-            let per_iov: Vec<(u32, u64)> = if replicated {
-                replica_targets(oid, self.pool_targets())
-                    .into_iter()
-                    .map(|t| (t, len))
-                    .collect()
-            } else {
-                array_target_shards(oid, *offset, len, self.pool_targets())
-            };
-            shards.extend(per_iov.into_iter().map(|(t, b)| (self.live_target(t), b)));
-        }
-        for (t, _) in &shards {
-            self.engine_for(*t)?;
-        }
-        self.latency().await;
-        // Take the distinct chunk locks in ascending order (the global
-        // order every batch uses, so concurrent batches cannot deadlock).
-        let mut chunks: Vec<u64> = iovs.iter().map(|(off, _)| off / ARRAY_CHUNK).collect();
-        chunks.sort_unstable();
-        chunks.dedup();
-        let locks: Vec<_> = chunks
-            .iter()
-            .map(|&c| self.d.obj_lock(cont.uuid, oid, c))
-            .collect();
-        {
-            let mut guards = Vec::with_capacity(locks.len());
-            for lock in &locks {
-                guards.push(lock.acquire_one(self.lane()).await);
-            }
-            let _os = self.d.sim.span("objstore", "array_update");
-            let writes: Vec<_> = shards
-                .iter()
-                .map(|&(t, bytes)| {
-                    let this = self.clone();
-                    async move { this.shard_write(t, bytes).await }
-                })
-                .collect();
-            for r in join_all(writes).await {
-                r?;
-            }
-            let total: u64 = iovs.iter().map(|(_, d)| d.len() as u64).sum();
-            self.d.pool.charge(total)?;
-            cont.cont.array_write_vec(oid, iovs)?;
-        }
-        self.latency().await;
-        Ok(())
-    }
-
-    async fn array_read_once(
-        &self,
-        cont: &SimCont,
-        oid: Oid,
-        offset: u64,
-        len: u64,
-    ) -> Result<Bytes> {
-        let is_ec =
-            oid.class() == ObjectClass::EC2P1 && oid.class().parity_cells(self.pool_targets()) > 0;
-        let mut ec_reconstruct: Option<u32> = None; // index of the dead data cell
-        let shards: Vec<(u32, u64)> = if is_ec {
-            let (dts, pt) = ec_targets(oid, self.pool_targets());
-            let dts: Vec<u32> = dts.into_iter().map(|t| self.live_target(t)).collect();
-            let &[d0, d1] = &dts[..] else {
-                return Err(DaosError::NoTargets);
-            };
-            let pt = self.live_target(pt);
-            let size = cont.cont.array_size(oid)?;
-            let h0_len = size.div_ceil(2);
-            let h1_len = size - h0_len;
-            let alive0 = self.d.engine_of_target(d0).is_alive();
-            let alive1 = self.d.engine_of_target(d1).is_alive();
-            match (alive0, alive1) {
-                (true, true) => vec![(d0, h0_len.min(len)), (d1, h1_len.min(len))],
-                (false, true) => {
-                    // Reconstruct cell 0 from cell 1 + parity.
-                    self.engine_for(pt)?;
-                    ec_reconstruct = Some(0);
-                    vec![(d1, h1_len), (pt, h0_len)]
-                }
-                (true, false) => {
-                    self.engine_for(pt)?;
-                    ec_reconstruct = Some(1);
-                    vec![(d0, h0_len), (pt, h0_len)]
-                }
-                (false, false) => {
-                    return Err(DaosError::EngineUnavailable(
-                        self.d.engine_index_of_target(d0),
-                    ))
-                }
-            }
-        } else if oid.class().replicas(self.pool_targets()) > 1 {
-            // Degraded-capable read: any alive replica serves the extent.
-            let reps: Vec<u32> = replica_targets(oid, self.pool_targets())
-                .into_iter()
-                .map(|t| self.live_target(t))
-                .collect();
-            vec![(self.first_alive(&reps)?, len)]
-        } else {
-            array_target_shards(oid, offset, len, self.pool_targets())
-                .into_iter()
-                .map(|(t, b)| (self.live_target(t), b))
-                .collect()
-        };
-        for (t, _) in &shards {
-            self.engine_for(*t)?;
-        }
-        self.latency().await;
-        let lock = self.d.obj_lock(cont.uuid, oid, offset / ARRAY_CHUNK);
-        let out;
-        {
-            let _g = lock.acquire_one(self.lane()).await;
-            let _os = self.d.sim.span("objstore", "array_fetch");
-            let reads: Vec<_> = shards
-                .iter()
-                .map(|&(t, bytes)| {
-                    let this = self.clone();
-                    async move { this.shard_read(t, bytes).await }
-                })
-                .collect();
-            for r in join_all(reads).await {
-                r?;
-            }
-            out = if let Some(lost) = ec_reconstruct {
-                // Genuinely reconstruct from the surviving cell plus the
-                // stored parity, charging XOR time; the logical extent is
-                // NOT consulted for the lost cell.
-                let size = cont.cont.array_size(oid)?;
-                let h0_len = size.div_ceil(2) as usize;
-                let parity = cont
-                    .cont
-                    .array_parity(oid)?
-                    .ok_or(DaosError::InvalidArg("EC object without parity"))?;
-                let cal = &self.d.spec.calibration;
-                self.d
-                    .sim
-                    .sleep(SimDuration::from_secs_f64(
-                        size as f64 / (cal.ec_reconstruct_gib * daosim_net::GIB),
-                    ))
-                    .await;
-                let full = if lost == 0 {
-                    let h1 = cont
-                        .cont
-                        .array_read(oid, h0_len as u64, size - h0_len as u64)?;
-                    let h0 = ec::reconstruct_cell(&h1, &parity, h0_len);
-                    ec::join_halves(&h0, &h1)
-                } else {
-                    let h0 = cont.cont.array_read(oid, 0, h0_len as u64)?;
-                    let h1 = ec::reconstruct_cell(&h0, &parity, size as usize - h0_len);
-                    ec::join_halves(&h0, &h1)
-                };
-                let end = ((offset + len) as usize).min(full.len());
-                let start = (offset as usize).min(end);
-                full.slice(start..end)
-            } else {
-                cont.cont.array_read(oid, offset, len)?
-            };
-        }
-        self.latency().await;
-        Ok(out)
-    }
-
-    async fn array_size_once(&self, cont: &SimCont, oid: Oid) -> Result<u64> {
-        let cal = self.d.spec.calibration;
-        let t = self.meta_target(oid)?;
-        let service = cal.array_open_cost + self.d.target(t).media.read_time(128);
-        self.small_rpc(t, service).await?;
-        cont.cont.array_size(oid)
-    }
-
-    async fn array_close_once(&self, _cont: &SimCont, _oid: Oid) -> Result<()> {
-        // Handle close is client-local in DAOS; no RPC.
-        self.d
-            .sim
-            .sleep(self.d.spec.calibration.array_close_cost)
-            .await;
-        Ok(())
-    }
-
-    async fn obj_punch_once(&self, cont: &SimCont, oid: Oid) -> Result<()> {
-        let cal = self.d.spec.calibration;
-        let t = self.meta_target(oid)?;
-        self.small_rpc(t, cal.array_create_cost).await?;
-        cont.cont.obj_punch(oid)
-    }
-
-    async fn list_array_objects_once(&self, cont: &SimCont) -> Result<Vec<Oid>> {
-        // Enumeration walks the container's object table on its engines;
-        // charge a metadata RPC plus a per-object scan cost at the pool
-        // metadata service.
-        let cal = self.d.spec.calibration;
-        self.latency().await;
-        let arrays = cont.cont.list_arrays();
-        {
-            let _p = self.d.pool_md.acquire_one(self.lane()).await;
-            let per_obj = SimDuration::from_nanos(500);
-            self.d
-                .sim
-                .sleep(
-                    cal.cont_open_cost
-                        + SimDuration::from_nanos(
-                            per_obj.as_nanos().saturating_mul(arrays.len() as u64),
-                        ),
-                )
-                .await;
-        }
-        self.latency().await;
-        Ok(arrays)
-    }
-
-    fn pool_targets(&self) -> u32 {
-        self.d.spec.pool_targets()
-    }
-}
-
-/// The public API: every engine-touching operation runs through
-/// [`SimClient::retrying`]. Container open/create (pool-metadata only),
-/// handle close (client-local) and enumeration are left unwrapped — they
-/// never consult an engine's liveness.
+/// The public API. Every engine-touching operation is a placement plus
+/// [`SimClient::rpc`], re-run through [`SimClient::retrying`] — placement
+/// happens inside the attempt, which is how failover re-consults the
+/// pool map. Container open/create (pool-metadata only), handle close
+/// (client-local) and enumeration are left unwrapped: they never consult
+/// an engine's liveness.
 impl DaosApi for SimClient {
     type Cont = SimCont;
 
     async fn cont_open_or_create(&self, uuid: Uuid) -> Result<Self::Cont> {
-        self.cont_open_or_create_once(uuid).await
+        let cal = &self.d.spec.calibration;
+        let plan = || match self.d.pool.cont_open(uuid) {
+            Ok(_) => (cal.cont_open_cost, ()),
+            Err(_) => (cal.cont_create_cost, ()),
+        };
+        let commit = |()| self.d.pool.cont_open_or_create(uuid);
+        let cont = self.pool_rpc(plan, commit).await?;
+        Ok(SimCont { uuid, cont })
     }
 
     async fn cont_open(&self, uuid: Uuid) -> Result<Self::Cont> {
-        self.cont_open_once(uuid).await
+        let plan = || (self.d.spec.calibration.cont_open_cost, ());
+        let cont = self
+            .pool_rpc(plan, |()| self.d.pool.cont_open(uuid))
+            .await?;
+        Ok(SimCont { uuid, cont })
     }
 
     async fn kv_put(&self, cont: &Self::Cont, oid: Oid, key: &[u8], value: Bytes) -> Result<()> {
-        let (this, cont) = (self.clone(), cont.clone());
-        self.retrying(ClientOp::KvPut, move || {
-            let (this, cont, value) = (this.clone(), cont.clone(), value.clone());
-            async move { this.kv_put_once(&cont, oid, key, value).await }
+        let (value, bytes) = (&value, (key.len() + value.len()) as u64);
+        self.retrying(ClientOp::KvPut, || async move {
+            let shards = self.kv_updates(oid, [(key, bytes)])?;
+            self.rpc(cont, oid, Section::KvUpdate(None), &shards, async |_| {
+                self.d.pool.charge(bytes)?;
+                cont.cont.kv_put(oid, key, value.clone()).map(drop)
+            })
+            .await
         })
         .await
     }
 
     async fn kv_get(&self, cont: &Self::Cont, oid: Oid, key: &[u8]) -> Result<Option<Bytes>> {
-        let (this, cont) = (self.clone(), cont.clone());
-        self.retrying(ClientOp::KvGet, move || {
-            let (this, cont) = (this.clone(), cont.clone());
-            async move { this.kv_get_once(&cont, oid, key).await }
+        self.retrying(ClientOp::KvGet, || async move {
+            let t = self.first_alive(self.kv_home(oid, key))?;
+            let shard = Service::KvFetch.at(t, self.d.spec.calibration.kv_entry_bytes);
+            self.rpc(cont, oid, Section::KvFetch, &[shard], async |_| {
+                cont.cont.kv_get(oid, key)
+            })
+            .await
         })
         .await
     }
@@ -1262,32 +801,52 @@ impl DaosApi for SimClient {
         key: &[u8],
         value: Bytes,
     ) -> Result<Option<Bytes>> {
-        let (this, cont) = (self.clone(), cont.clone());
-        self.retrying(ClientOp::KvPutIfAbsent, move || {
-            let (this, cont, value) = (this.clone(), cont.clone(), value.clone());
-            async move { this.kv_put_if_absent_once(&cont, oid, key, value).await }
+        let (value, bytes) = (&value, (key.len() + value.len()) as u64);
+        self.retrying(ClientOp::KvPutIfAbsent, || async move {
+            let shards = self.kv_updates(oid, [(key, bytes)])?;
+            let section = Section::KvUpdate(Some(key));
+            self.rpc(cont, oid, section, &shards, async |found| {
+                if found.is_none() {
+                    self.d.pool.charge(bytes)?;
+                    cont.cont.kv_put(oid, key, value.clone())?;
+                }
+                Ok(found)
+            })
+            .await
         })
         .await
     }
 
+    /// Removal writes a tombstone the way `kv_put` writes an entry.
+    /// Removing an absent key is a successful no-op, per the `DaosApi`
+    /// contract.
     async fn kv_remove(&self, cont: &Self::Cont, oid: Oid, key: &[u8]) -> Result<()> {
-        let (this, cont) = (self.clone(), cont.clone());
-        self.retrying(ClientOp::KvRemove, move || {
-            let (this, cont) = (this.clone(), cont.clone());
-            async move { this.kv_remove_once(&cont, oid, key).await }
+        self.retrying(ClientOp::KvRemove, || async move {
+            let shards = self.kv_updates(oid, [(key, key.len() as u64)])?;
+            self.rpc(
+                cont,
+                oid,
+                Section::KvUpdate(None),
+                &shards,
+                async |_| match cont.cont.kv_remove(oid, key) {
+                    Ok(_) | Err(DaosError::ObjNotFound(_)) => Ok(()),
+                    Err(e) => Err(e),
+                },
+            )
+            .await
         })
         .await
     }
 
     async fn kv_list_keys(&self, cont: &Self::Cont, oid: Oid) -> Result<Vec<Bytes>> {
-        let (this, cont) = (self.clone(), cont.clone());
-        self.retrying(ClientOp::KvListKeys, move || {
-            let (this, cont) = (this.clone(), cont.clone());
-            async move { this.kv_list_keys_once(&cont, oid).await }
-        })
-        .await
+        let cost = self.d.spec.calibration.kv_op_cost;
+        let commit = |c: &Container| c.kv_list_keys(oid);
+        self.meta_op(ClientOp::KvListKeys, cont, oid, |_| cost, commit)
+            .await
     }
 
+    /// Range listing: same RPC shape and cost as a full listing — the
+    /// server walks less of the key space, not more.
     async fn kv_list_range(
         &self,
         cont: &Self::Cont,
@@ -1295,57 +854,66 @@ impl DaosApi for SimClient {
         from: Bytes,
         until: Option<Bytes>,
     ) -> Result<Vec<Bytes>> {
-        let (this, cont) = (self.clone(), cont.clone());
-        self.retrying(ClientOp::KvListRange, move || {
-            let (this, cont, from, until) =
-                (this.clone(), cont.clone(), from.clone(), until.clone());
-            async move {
-                this.kv_list_range_once(&cont, oid, &from, until.as_deref())
-                    .await
-            }
-        })
-        .await
+        let cost = self.d.spec.calibration.kv_op_cost;
+        let commit = |c: &Container| c.kv_list_range(oid, &from, until.as_deref());
+        self.meta_op(ClientOp::KvListRange, cont, oid, |_| cost, commit)
+            .await
     }
 
+    /// Vectorized KV update: the whole batch rides one request — one
+    /// latency round trip, one container-handle validation and one
+    /// leader serial section — then every pair's replica services run
+    /// concurrently. This is where batching beats N sequential puts.
     async fn kv_put_multi(
         &self,
         cont: &Self::Cont,
         oid: Oid,
         pairs: Vec<(Bytes, Bytes)>,
     ) -> Result<()> {
-        let (this, cont) = (self.clone(), cont.clone());
-        self.retrying(ClientOp::KvPutMulti, move || {
-            let (this, cont, pairs) = (this.clone(), cont.clone(), pairs.clone());
-            async move { this.kv_put_multi_once(&cont, oid, pairs).await }
+        let pairs = &pairs;
+        self.retrying(ClientOp::KvPutMulti, || async move {
+            if pairs.is_empty() {
+                return Ok(());
+            }
+            let entries = pairs
+                .iter()
+                .map(|(k, v)| (&k[..], (k.len() + v.len()) as u64));
+            let total = entries.clone().map(|(_, b)| b).sum();
+            let shards = self.kv_updates(oid, entries)?;
+            self.rpc(cont, oid, Section::KvUpdate(None), &shards, async |_| {
+                self.d.pool.charge(total)?;
+                cont.cont.kv_put_multi(oid, pairs.clone())
+            })
+            .await
         })
         .await
     }
 
     async fn array_create(&self, cont: &Self::Cont, oid: Oid) -> Result<ArrayHandle> {
-        let (this, cont) = (self.clone(), cont.clone());
-        self.retrying(ClientOp::ArrayCreate, move || {
-            let (this, cont) = (this.clone(), cont.clone());
-            async move { this.array_create_once(&cont, oid).await }
+        self.retrying(ClientOp::ArrayCreate, || async move {
+            let replicas = replica_targets(oid, self.pool_targets());
+            let replicas: Vec<u32> = replicas.into_iter().map(|t| self.live_target(t)).collect();
+            self.install(cont, oid, &replicas).await?;
+            cont.cont.array_create(oid)
         })
         .await
         .map(|()| ArrayHandle::from_open(oid))
     }
 
     async fn array_open(&self, cont: &Self::Cont, oid: Oid) -> Result<ArrayHandle> {
-        let (this, cont) = (self.clone(), cont.clone());
-        self.retrying(ClientOp::ArrayOpen, move || {
-            let (this, cont) = (this.clone(), cont.clone());
-            async move { this.array_open_once(&cont, oid).await }
-        })
-        .await
-        .map(|()| ArrayHandle::from_open(oid))
+        let cost = self.d.spec.calibration.array_open_cost;
+        let service = |t: &Target| cost + t.media.read_time(128);
+        let commit = |c: &Container| c.array_open(oid);
+        self.meta_op(ClientOp::ArrayOpen, cont, oid, service, commit)
+            .await
+            .map(|()| ArrayHandle::from_open(oid))
     }
 
     async fn array_open_or_create(&self, cont: &Self::Cont, oid: Oid) -> Result<ArrayHandle> {
-        let (this, cont) = (self.clone(), cont.clone());
-        self.retrying(ClientOp::ArrayOpenOrCreate, move || {
-            let (this, cont) = (this.clone(), cont.clone());
-            async move { this.array_open_or_create_once(&cont, oid).await }
+        self.retrying(ClientOp::ArrayOpenOrCreate, || async move {
+            let leader = self.live_target(leader_target(oid, self.pool_targets()));
+            self.install(cont, oid, &[leader]).await?;
+            cont.cont.array_open_or_create(oid)
         })
         .await
         .map(|()| ArrayHandle::from_open(oid))
@@ -1358,24 +926,27 @@ impl DaosApi for SimClient {
         offset: u64,
         data: Bytes,
     ) -> Result<()> {
-        let (this, cont, oid) = (self.clone(), cont.clone(), handle.oid());
-        self.retrying(ClientOp::ArrayWrite, move || {
-            let (this, cont, data) = (this.clone(), cont.clone(), data.clone());
-            async move { this.array_write_once(&cont, oid, offset, data).await }
+        let (iov, chunk) = ([(offset, data)], [offset / ARRAY_CHUNK]);
+        self.retrying(ClientOp::ArrayWrite, || {
+            self.write_extents(cont, handle.oid(), &iov, &chunk)
         })
         .await
     }
 
+    /// Scatter-gather write: all extents ride one request, which takes
+    /// each distinct chunk lock once, in ascending order; their shard
+    /// flows and media services run concurrently.
     async fn array_write_vec(
         &self,
         cont: &Self::Cont,
         handle: &ArrayHandle,
         iovs: Vec<(u64, Bytes)>,
     ) -> Result<()> {
-        let (this, cont, oid) = (self.clone(), cont.clone(), handle.oid());
-        self.retrying(ClientOp::ArrayWriteVec, move || {
-            let (this, cont, iovs) = (this.clone(), cont.clone(), iovs.clone());
-            async move { this.array_write_vec_once(&cont, oid, iovs).await }
+        let mut chunks: Vec<u64> = iovs.iter().map(|(off, _)| off / ARRAY_CHUNK).collect();
+        chunks.sort_unstable();
+        chunks.dedup();
+        self.retrying(ClientOp::ArrayWriteVec, || {
+            self.write_extents(cont, handle.oid(), &iovs, &chunks)
         })
         .await
     }
@@ -1387,42 +958,116 @@ impl DaosApi for SimClient {
         offset: u64,
         len: u64,
     ) -> Result<Bytes> {
-        let (this, cont, oid) = (self.clone(), cont.clone(), handle.oid());
-        self.retrying(ClientOp::ArrayRead, move || {
-            let (this, cont) = (this.clone(), cont.clone());
-            async move { this.array_read_once(&cont, oid, offset, len).await }
+        let (oid, chunk) = (handle.oid(), [offset / ARRAY_CHUNK]);
+        self.retrying(ClientOp::ArrayRead, || async move {
+            let end = extent_end(offset, len)?;
+            // `lost` is the EC data cell to rebuild from its sibling and
+            // the parity.
+            let mut lost = None;
+            let shards: Shards = if let Some(cells) = self.ec_cells(oid) {
+                let [d0, d1, pt] = cells?;
+                let size = cont.cont.array_size(oid)?;
+                let (h0, h1) = (size.div_ceil(2), size - size.div_ceil(2));
+                let alive = |t| self.d.engine_of_target(t).is_alive();
+                let cells = match (alive(d0), alive(d1)) {
+                    (true, true) => [(d0, h0.min(len)), (d1, h1.min(len))],
+                    (false, false) => {
+                        let e = self.d.engine_index_of_target(d0);
+                        return Err(DaosError::EngineUnavailable(e));
+                    }
+                    // One data cell is lost: read its sibling and the parity.
+                    (alive0, _) => {
+                        self.engine_for(pt)?;
+                        lost = Some(usize::from(alive0));
+                        [if alive0 { (d0, h0) } else { (d1, h1) }, (pt, h0)]
+                    }
+                };
+                cells
+                    .into_iter()
+                    .map(|(t, b)| Service::BulkRead.at(t, b))
+                    .collect()
+            } else if oid.class().replicas(self.pool_targets()) > 1 {
+                // Degraded-capable read: any alive replica serves the extent.
+                let t = self.first_alive(self.extent(oid, offset, len).map(|(t, _)| t))?;
+                Shards::One(Service::BulkRead.at(t, len))
+            } else {
+                self.extent(oid, offset, len)
+                    .map(|(t, b)| Service::BulkRead.at(t, b))
+                    .collect()
+            };
+            self.check_live(&shards)?;
+            self.rpc(
+                cont,
+                oid,
+                Section::ArrayFetch(&chunk),
+                &shards,
+                async |_| {
+                    let Some(lost) = lost else {
+                        return cont.cont.array_read(oid, offset, len);
+                    };
+                    // Genuinely reconstruct from the surviving cell plus the
+                    // stored parity, charging XOR time; the logical extent is
+                    // NOT consulted for the lost cell.
+                    let (size, parity) = (cont.cont.array_size(oid)?, cont.cont.array_parity(oid)?);
+                    let parity = parity.ok_or(DaosError::InvalidArg("EC object without parity"))?;
+                    let gib_s = self.d.spec.calibration.ec_reconstruct_gib * daosim_net::GIB;
+                    self.d
+                        .sim
+                        .sleep(SimDuration::from_secs_f64(size as f64 / gib_s))
+                        .await;
+                    // The surviving cell's extent, then the lost one rebuilt.
+                    let h0 = size.div_ceil(2);
+                    let (at, kept) = if lost == 0 { (h0, size - h0) } else { (0, h0) };
+                    let survivor = cont.cont.array_read(oid, at, kept)?;
+                    let rebuilt = ec::reconstruct_cell(&survivor, &parity, (size - kept) as usize);
+                    let full = match lost {
+                        0 => ec::join_halves(&rebuilt, &survivor),
+                        _ => ec::join_halves(&survivor, &rebuilt),
+                    };
+                    let end = (end as usize).min(full.len());
+                    Ok(full.slice((offset as usize).min(end)..end))
+                },
+            )
+            .await
         })
         .await
     }
 
     async fn array_size(&self, cont: &Self::Cont, handle: &ArrayHandle) -> Result<u64> {
-        let (this, cont, oid) = (self.clone(), cont.clone(), handle.oid());
-        self.retrying(ClientOp::ArraySize, move || {
-            let (this, cont) = (this.clone(), cont.clone());
-            async move { this.array_size_once(&cont, oid).await }
-        })
-        .await
+        let (oid, cost) = (handle.oid(), self.d.spec.calibration.array_open_cost);
+        let service = |t: &Target| cost + t.media.read_time(128);
+        let commit = |c: &Container| c.array_size(oid);
+        self.meta_op(ClientOp::ArraySize, cont, oid, service, commit)
+            .await
     }
 
-    async fn array_close(&self, cont: &Self::Cont, handle: ArrayHandle) -> Result<()> {
-        self.array_close_once(cont, handle.oid()).await
+    async fn array_close(&self, _cont: &Self::Cont, _handle: ArrayHandle) -> Result<()> {
+        // Handle close is client-local in DAOS; no RPC.
+        let cost = self.d.spec.calibration.array_close_cost;
+        self.d.sim.sleep(cost).await;
+        Ok(())
     }
 
     async fn obj_punch(&self, cont: &Self::Cont, oid: Oid) -> Result<()> {
-        let (this, cont) = (self.clone(), cont.clone());
-        self.retrying(ClientOp::ObjPunch, move || {
-            let (this, cont) = (this.clone(), cont.clone());
-            async move { this.obj_punch_once(&cont, oid).await }
-        })
-        .await
+        let cost = self.d.spec.calibration.array_create_cost;
+        let commit = |c: &Container| c.obj_punch(oid);
+        self.meta_op(ClientOp::ObjPunch, cont, oid, |_| cost, commit)
+            .await
     }
 
+    /// Enumeration walks the container's object table: a pool-service
+    /// RPC plus a per-object scan cost.
     async fn list_array_objects(&self, cont: &Self::Cont) -> Result<Vec<Oid>> {
-        self.list_array_objects_once(cont).await
+        let plan = || {
+            let arrays = cont.cont.list_arrays();
+            let scan = SimDuration::from_nanos(500u64.saturating_mul(arrays.len() as u64));
+            (self.d.spec.calibration.cont_open_cost + scan, arrays)
+        };
+        self.pool_rpc(plan, Ok).await
     }
 
     fn pool_targets(&self) -> u32 {
-        SimClient::pool_targets(self)
+        self.d.spec.pool_targets()
     }
 
     fn spawn_op(&self, op: daosim_objstore::OpFuture) {
@@ -1537,15 +1182,15 @@ mod tests {
         let sim = Sim::new();
         let d = Deployment::new(&sim, ClusterSpec::tcp(1, 1));
         let client = SimClient::for_process(&d, 0, 0);
-        assert_eq!(client.first_alive(&[]), Err(DaosError::NoTargets));
+        assert_eq!(client.first_alive([]), Err(DaosError::NoTargets));
         // Non-empty behaviour unchanged: picks the first alive target...
-        assert_eq!(client.first_alive(&[3, 17]), Ok(3));
+        assert_eq!(client.first_alive([3, 17]), Ok(3));
         d.kill_engine(0);
-        assert_eq!(client.first_alive(&[3, 17]), Ok(17));
+        assert_eq!(client.first_alive([3, 17]), Ok(17));
         // ...and blames the last candidate's engine when all are down.
         d.kill_engine(1);
         assert_eq!(
-            client.first_alive(&[3, 17]),
+            client.first_alive([3, 17]),
             Err(DaosError::EngineUnavailable(1))
         );
     }

@@ -30,6 +30,7 @@ use std::task::{Context, Poll, Waker};
 
 use bytes::Bytes;
 
+use crate::array::extent_end;
 use crate::container::Container;
 use crate::error::{DaosError, Result};
 use crate::oid::{ObjectClass, Oid};
@@ -784,6 +785,7 @@ impl DaosApi for EmbeddedClient {
         offset: u64,
         data: Bytes,
     ) -> Result<()> {
+        extent_end(offset, data.len() as u64)?;
         self.pool.charge(data.len() as u64)?;
         cont.array_write(handle.oid(), offset, data)
     }
@@ -794,6 +796,9 @@ impl DaosApi for EmbeddedClient {
         handle: &ArrayHandle,
         iovs: Vec<(u64, Bytes)>,
     ) -> Result<()> {
+        for (offset, data) in &iovs {
+            extent_end(*offset, data.len() as u64)?;
+        }
         let bytes: usize = iovs.iter().map(|(_, d)| d.len()).sum();
         self.pool.charge(bytes as u64)?;
         cont.array_write_vec(handle.oid(), iovs)
@@ -806,6 +811,7 @@ impl DaosApi for EmbeddedClient {
         offset: u64,
         len: u64,
     ) -> Result<Bytes> {
+        extent_end(offset, len)?;
         cont.array_read(handle.oid(), offset, len)
     }
 

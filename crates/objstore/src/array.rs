@@ -10,6 +10,18 @@ use std::collections::BTreeMap;
 
 use bytes::{Bytes, BytesMut};
 
+use crate::error::{DaosError, Result};
+
+/// One past the last byte of the extent `[offset, offset + len)`, or
+/// `InvalidArg` when that overflows u64. Both `DaosApi` backends check
+/// every extent with this before placing or charging anything, so the
+/// store never sees an overflowing extent.
+pub fn extent_end(offset: u64, len: u64) -> Result<u64> {
+    offset
+        .checked_add(len)
+        .ok_or(DaosError::InvalidArg("array extent overflows u64"))
+}
+
 /// An in-memory Array object.
 #[derive(Default, Debug, Clone)]
 pub struct ArrayObject {
@@ -42,6 +54,8 @@ impl ArrayObject {
         if data.is_empty() {
             return;
         }
+        // Cannot fire through `DaosApi`: both backends reject an
+        // overflowing extent with `extent_end` first.
         let end = offset
             .checked_add(data.len() as u64)
             .expect("array extent overflows u64");
@@ -82,6 +96,7 @@ impl ArrayObject {
         if len == 0 {
             return Bytes::new();
         }
+        // Cannot fire through `DaosApi`, as in `write`.
         let end = offset.checked_add(len).expect("array extent overflows u64");
         // Fast path: one segment covers everything.
         if let Some((s, d)) = self.segments.range(..=offset).next_back() {

@@ -129,3 +129,72 @@ fn simulated_run_takes_simulated_time() {
         "cluster I/O must cost time: {end}"
     );
 }
+
+/// The overflow probes run on one backend: an `array_write` whose extent
+/// ends past `u64::MAX`, an `array_read` past it, and a vectored write
+/// with one such extent. Returns each result plus the pool's used bytes
+/// after the probes.
+async fn overflow_probes<D: DaosApi>(client: &D, pool_used: impl Fn() -> u64) -> Vec<String> {
+    use daosim::objstore::{ObjectClass, Oid, Uuid};
+    let cont = client
+        .cont_open_or_create(Uuid::from_name(b"overflow"))
+        .await
+        .expect("cont");
+    let mut out = Vec::new();
+    for class in [ObjectClass::S1, ObjectClass::RP2, ObjectClass::EC2P1] {
+        let h = client
+            .array_create(&cont, Oid::generate(60, class as u64, class))
+            .await
+            .expect("create");
+        let before = pool_used();
+        let data = Bytes::from_static(b"0123456789");
+        let w = client
+            .array_write(&cont, &h, u64::MAX - 4, data.clone())
+            .await;
+        let r = client.array_read(&cont, &h, u64::MAX - 4, 10).await;
+        let v = client
+            .array_write_vec(&cont, &h, vec![(0, data.clone()), (u64::MAX, data)])
+            .await;
+        out.push(format!("{class:?} {w:?} {:?} {v:?}", r.map(|b| b.len())));
+        assert_eq!(
+            pool_used(),
+            before,
+            "{class:?}: an overflowing extent was charged"
+        );
+        client.array_close(&cont, h).await.expect("close");
+    }
+    out
+}
+
+/// Runs `fut` to completion on `sim` and returns its output.
+fn run_to_end<T: Default + 'static>(
+    sim: &Sim,
+    fut: impl std::future::Future<Output = T> + 'static,
+) -> T {
+    let out: Rc<RefCell<T>> = Rc::default();
+    let out2 = Rc::clone(&out);
+    sim.block_on(async move { *out2.borrow_mut() = fut.await });
+    out.take()
+}
+
+#[test]
+fn overflowing_extents_are_invalid_args_on_both_backends() {
+    // Regression: these probes panicked in `ArrayObject::write`/`read`
+    // ("array extent overflows u64") through the simulated client.
+    let (_s, pool) = DaosStore::with_single_pool(48);
+    let embedded = EmbeddedClient::new(std::sync::Arc::clone(&pool));
+    let got_embedded = run_to_end(&Sim::new(), async move {
+        overflow_probes(&embedded, || pool.used()).await
+    });
+    let sim = Sim::new();
+    let d = Deployment::new(&sim, ClusterSpec::tcp(1, 1));
+    let client = SimClient::for_process(&d, 0, 0);
+    let got_simulated = run_to_end(&sim, async move {
+        overflow_probes(&client, || d.pool.used()).await
+    });
+    let invalid = "Err(InvalidArg(\"array extent overflows u64\"))";
+    for line in &got_embedded {
+        assert_eq!(line.matches(invalid).count(), 3, "embedded: {line}");
+    }
+    assert_eq!(got_embedded, got_simulated);
+}
