@@ -25,7 +25,7 @@ use bytes::Bytes;
 use daosim_kernel::sync::{join2, join_all, timeout, AdmissionClass, Elapsed};
 use daosim_kernel::{CounterHandle, HistogramHandle, MetricsRegistry, SimDuration};
 use daosim_net::Endpoint;
-use daosim_objstore::array::extent_end;
+use daosim_objstore::array::{extent_end, read_extent_end};
 use daosim_objstore::ec;
 use daosim_objstore::placement::{
     array_target_shards, ec_targets, kv_target, leader_target, replica_targets, ARRAY_CHUNK,
@@ -960,7 +960,7 @@ impl DaosApi for SimClient {
     ) -> Result<Bytes> {
         let (oid, chunk) = (handle.oid(), [offset / ARRAY_CHUNK]);
         self.retrying(ClientOp::ArrayRead, || async move {
-            let end = extent_end(offset, len)?;
+            let end = read_extent_end(offset, len)?;
             // `lost` is the EC data cell to rebuild from its sibling and
             // the parity.
             let mut lost = None;

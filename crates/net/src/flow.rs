@@ -45,10 +45,30 @@
 //! plain ascending scan over every unfrozen class, and so are the rates,
 //! bit for bit (DESIGN.md §3.2b gives the argument).
 //!
+//! A round costs in proportion to the live links and the classes it
+//! visits, not to every unfrozen class:
+//!
+//! - caps are fixed for a whole fill, so the unfrozen caps are rescanned
+//!   only in a round whose tolerance reaches the least cap found by the
+//!   last rescan (the *cap floor*); below it no cap can bind, and the
+//!   level is the least link share;
+//! - a link leaves the live list the moment its last class freezes, so no
+//!   round filters the list;
+//! - candidates live in a bitset popped by a forward cursor, in ascending
+//!   index; a mid-round insert is always above the class just popped, so
+//!   the cursor never has to move back.
+//!
 //! A settle advances and retires flows in one pass over the slots, noting
 //! each class's least remaining byte count; the next completion is the
 //! least `remaining / rate` over the active classes, which is exact because
-//! correctly rounded division by a positive rate is monotone.
+//! correctly rounded division by a positive rate is monotone. That pass is
+//! the only drain of its instant: an arrival does not drain the other
+//! flows, it marks its flow *fresh*, and whichever drain runs next — the
+//! settle, or an observer such as `bytes_delivered` or `set_link_capacity`
+//! at the same instant — skips the fresh flow, whose arrival is the end of
+//! the interval being drained, and unmarks it. Every other flow takes the
+//! same `drain` subtraction it took when arrivals drained, with the same
+//! interval and rate, and `delivered` sums the same terms in slot order.
 //!
 //! Same-instant arrivals coalesce: `transfer` only queues one settle event
 //! per instant, so a batch of N transfers issued at one tick triggers a
@@ -61,8 +81,7 @@
 //! tests and as the baseline the `net_flow` benchmark measures against.
 
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use daosim_kernel::sync::{oneshot, OneshotReceiver, OneshotSender};
@@ -149,6 +168,9 @@ pub struct SolverStats {
 
 struct Flow {
     class: u32,
+    /// Inserted since the last drain: the next drain's interval predates
+    /// the flow, so that drain skips it (and clears the mark).
+    fresh: bool,
     remaining: f64, // bytes
     done: Option<OneshotSender<()>>,
     /// Open "net" span, closed when the flow drains.
@@ -234,18 +256,56 @@ struct Scratch {
     count: Vec<u32>,
     share: Vec<f64>,
     tight: Vec<u64>,
-    /// Links with unfrozen members.
+    /// Links with unfrozen members, and each one's position in that list
+    /// (a link leaves it when its count reaches 0).
     live: Vec<u32>,
-    /// Unfrozen classes with their effective caps.
-    unfrozen: Vec<(u32, f64)>,
-    /// Per class: frozen this recompute, and the round it was queued in.
+    live_pos: Vec<u32>,
+    /// Per class: frozen this recompute.
     frozen: Vec<bool>,
-    queued: Vec<u64>,
-    /// Classes to try this round, smallest index first.
-    pending: BinaryHeap<Reverse<u32>>,
-    /// Progressive-filling rounds run so far (stamps `tight`/`queued`).
+    /// Classes to try this round.
+    pending: ClassSet,
+    /// Progressive-filling rounds run so far (stamps `tight`).
     round: u64,
     finished: Vec<(OneshotSender<()>, Option<SpanId>)>,
+}
+
+/// A set of class indices popped in ascending order: a bitset and a
+/// forward cursor. Inserting while popping is only valid above the index
+/// popped last, which is all progressive filling needs.
+#[derive(Default)]
+struct ClassSet {
+    words: Vec<u64>,
+    /// Words below `cursor` and from `end` on are all zero.
+    cursor: usize,
+    end: usize,
+}
+
+impl ClassSet {
+    /// Makes room for classes `0..n`; the set must be empty.
+    fn reserve(&mut self, n: usize) {
+        self.words.resize(n.div_ceil(64), 0);
+    }
+
+    fn insert(&mut self, ci: u32) {
+        let w = ci as usize / 64;
+        self.words[w] |= 1 << (ci % 64);
+        self.cursor = self.cursor.min(w);
+        self.end = self.end.max(w + 1);
+    }
+
+    fn pop_min(&mut self) -> Option<u32> {
+        while self.cursor < self.end {
+            let bits = self.words[self.cursor];
+            if bits != 0 {
+                self.words[self.cursor] = bits & (bits - 1);
+                return Some((self.cursor * 64) as u32 + bits.trailing_zeros());
+            }
+            self.cursor += 1;
+        }
+        self.cursor = usize::MAX;
+        self.end = 0;
+        None
+    }
 }
 
 struct Inner {
@@ -477,7 +537,6 @@ impl FlowNet {
                 tx.send(());
                 return rx;
             }
-            inner.advance_to(now);
             let class = inner.class_for(route, cap);
             inner.join(class);
             // Leaf span: the admit side runs in the issuing task (so the
@@ -490,8 +549,11 @@ impl FlowNet {
             } else {
                 None
             };
+            // No drain here. The next drain (at the latest, the settle
+            // queued below) ends at this instant and skips the new flow.
             inner.insert_flow(Flow {
                 class,
+                fresh: true,
                 remaining: bytes as f64,
                 done: Some(tx),
                 span,
@@ -721,7 +783,8 @@ impl Inner {
         }
     }
 
-    /// Drains `rate * dt` bytes from each flow up to `now`.
+    /// Drains `rate * dt` bytes from each flow up to `now`. A fresh flow
+    /// arrived at `now`, after the interval began, so it is only unmarked.
     fn advance_to(&mut self, now: SimTime) {
         let dt = now
             .saturating_duration_since(self.last_update)
@@ -734,7 +797,11 @@ impl Inner {
         let mut moved = 0.0;
         for slot in slots.iter_mut() {
             if let Some(f) = &mut slot.flow {
-                moved += f.drain(classes[f.class as usize].rate, dt);
+                if f.fresh {
+                    f.fresh = false;
+                } else {
+                    moved += f.drain(classes[f.class as usize].rate, dt);
+                }
             }
         }
         self.delivered += moved;
@@ -765,7 +832,9 @@ impl Inner {
                 continue;
             };
             let class = &mut self.classes[f.class as usize];
-            if dt != 0.0 {
+            if f.fresh {
+                f.fresh = false;
+            } else if dt != 0.0 {
                 moved += f.drain(class.rate, dt);
             }
             if f.remaining > DRAIN_EPS {
@@ -829,6 +898,11 @@ impl Inner {
     /// freeze leaves another link tight, that link's higher-index classes
     /// join the candidates, so the freeze set and subtraction order equal
     /// those of an ascending scan over every unfrozen class.
+    ///
+    /// Caps do not change within a fill, so the unfrozen caps are only
+    /// rescanned in a round whose tolerance reaches `floor`, the least cap
+    /// at the last rescan; below it no cap can bind. A link leaves `live`
+    /// as soon as its last class freezes.
     fn fill(&mut self) {
         let Inner {
             links,
@@ -848,73 +922,80 @@ impl Inner {
             share,
             tight,
             live,
-            unfrozen,
+            live_pos,
             frozen,
-            queued,
             pending,
             round,
             ..
         } = scratch;
+        // Only live links are read: every route of an active class is.
         let nl = links.len();
-        residual.clear();
-        residual.extend_from_slice(links);
-        count.clear();
-        count.extend_from_slice(link_members);
+        residual.resize(nl, 0.0);
+        count.resize(nl, 0);
         share.resize(nl, 0.0);
         tight.resize(nl, 0);
+        live_pos.resize(nl, 0);
         live.clear();
         live.extend_from_slice(live_links);
-        for &l in live.iter() {
+        for (pos, &l) in live.iter().enumerate() {
             let l = l as usize;
+            residual[l] = links[l];
+            count[l] = link_members[l];
             share[l] = residual[l] / count[l] as f64;
+            live_pos[l] = pos as u32;
         }
         frozen.resize(classes.len(), false);
-        queued.resize(classes.len(), 0);
-        unfrozen.clear();
+        pending.reserve(classes.len());
+        let mut floor = f64::INFINITY;
         for &ci in active_classes.iter() {
             frozen[ci as usize] = false;
-            unfrozen.push((ci, classes[ci as usize].refresh_cap(group_counts)));
+            floor = floor.min(classes[ci as usize].refresh_cap(group_counts));
         }
+        let mut left = active_classes.len();
 
-        while !unfrozen.is_empty() {
+        while left > 0 {
             *round += 1;
             let stamp = *round;
-            // Tightest link share, dropping links left without members.
+            // Tightest link share, then the tightest class cap if one can
+            // bind this round.
             let mut level = f64::INFINITY;
-            live.retain(|&l| {
-                let l = l as usize;
-                level = level.min(share[l]);
-                count[l] > 0
-            });
-            // Tightest class cap.
-            for &(_, cap) in unfrozen.iter() {
-                level = level.min(cap);
+            for &l in live.iter() {
+                level = level.min(share[l as usize]);
+            }
+            let rescan = level * (1.0 + 1e-9) >= floor;
+            if rescan {
+                floor = f64::INFINITY;
+                for &ci in active_classes.iter() {
+                    if !frozen[ci as usize] {
+                        floor = floor.min(classes[ci as usize].eff_cap);
+                    }
+                }
+                level = level.min(floor);
             }
             assert!(
                 level.is_finite() && level > 0.0,
                 "progressive filling found no finite positive level"
             );
             let tol = level * (1.0 + 1e-9);
-            pending.clear();
-            for &(ci, cap) in unfrozen.iter() {
-                if cap <= tol {
-                    queued[ci as usize] = stamp;
-                    pending.push(Reverse(ci));
+            if rescan {
+                for &ci in active_classes.iter() {
+                    if !frozen[ci as usize] && classes[ci as usize].eff_cap <= tol {
+                        pending.insert(ci);
+                    }
                 }
             }
             for &l in live.iter() {
                 if share[l as usize] <= tol {
                     tight[l as usize] = stamp;
                     for &ci in &link_classes[l as usize] {
-                        if !frozen[ci as usize] && queued[ci as usize] != stamp {
-                            queued[ci as usize] = stamp;
-                            pending.push(Reverse(ci));
+                        if !frozen[ci as usize] {
+                            pending.insert(ci);
                         }
                     }
                 }
             }
             let mut froze_any = false;
-            while let Some(Reverse(ci)) = pending.pop() {
+            while let Some(ci) = pending.pop_min() {
                 let c = &mut classes[ci as usize];
                 let route = &route_links[c.links.0 as usize..c.links.1 as usize];
                 let capped = c.eff_cap <= tol;
@@ -928,15 +1009,21 @@ impl Inner {
                     let li = l.0 as usize;
                     residual[li] = (residual[li] - rate * members as f64).max(0.0);
                     count[li] -= members;
-                    share[li] = if count[li] > 0 {
-                        residual[li] / count[li] as f64
-                    } else {
-                        f64::INFINITY
-                    };
+                    if count[li] > 0 {
+                        share[li] = residual[li] / count[li] as f64;
+                        continue;
+                    }
+                    share[li] = f64::INFINITY;
+                    let pos = live_pos[li] as usize;
+                    live.swap_remove(pos);
+                    if let Some(&moved) = live.get(pos) {
+                        live_pos[moved as usize] = pos as u32;
+                    }
                 }
                 c.rate = rate;
                 frozen[ci as usize] = true;
                 froze_any = true;
+                left -= 1;
                 // A link this freeze left tight binds its later classes.
                 for l in route {
                     let li = l.0 as usize;
@@ -945,15 +1032,13 @@ impl Inner {
                     }
                     tight[li] = stamp;
                     for &cj in &link_classes[li] {
-                        if cj > ci && !frozen[cj as usize] && queued[cj as usize] != stamp {
-                            queued[cj as usize] = stamp;
-                            pending.push(Reverse(cj));
+                        if cj > ci && !frozen[cj as usize] {
+                            pending.insert(cj);
                         }
                     }
                 }
             }
             assert!(froze_any, "progressive filling made no progress");
-            unfrozen.retain(|&(ci, _)| !frozen[ci as usize]);
         }
     }
 
@@ -1035,13 +1120,15 @@ impl Inner {
     /// Recomputes the incremental bookkeeping from the live flows and
     /// asserts it matches: per-link member counts, the active-class list
     /// and positions, per-class and per-group counts, the link → class
-    /// adjacency and the live-link list.
+    /// adjacency and the live-link list. A settle's drain has unmarked
+    /// every fresh flow.
     #[cfg(test)]
     fn check_bookkeeping(&self) {
         let mut members = vec![0u32; self.links.len()];
         let mut per_class = vec![0u32; self.classes.len()];
         let mut groups = vec![0u32; self.group_counts.len()];
         for f in self.slots.iter().filter_map(|s| s.flow.as_ref()) {
+            assert!(!f.fresh, "flow still fresh after a settle");
             per_class[f.class as usize] += 1;
             for l in self.route_of(f.class) {
                 members[l.0 as usize] += 1;
@@ -1509,6 +1596,126 @@ mod tests {
             cs.recomputes < fs.recomputes,
             "coalesced path should recompute less: {cs:?} vs {fs:?}"
         );
+    }
+
+    #[test]
+    fn late_arrival_with_same_instant_observers_is_bit_stable() {
+        // Three flows start at t=0; E finishes at ~20 µs, so the last
+        // settle before 100 µs is E's. At 100 µs, C joins A's active class
+        // and F revives E's class (which still holds E's old rate); in the
+        // same instant an observer reads `bytes_delivered` and rescales a
+        // link before the arrivals' settle runs. Neither newcomer may be
+        // charged for the interval before it arrived.
+        let sim = Sim::new();
+        let net = FlowNet::new(&sim);
+        let l0 = net.add_link(4.0);
+        let l1 = net.add_link(3.0);
+        let done: Rc<RefCell<Vec<(usize, u64)>>> = Rc::default();
+        let observed: Rc<RefCell<Vec<u64>>> = Rc::default();
+        let start = |i: usize, rx: OneshotReceiver<()>| {
+            let (sim2, done) = (sim.clone(), Rc::clone(&done));
+            sim.spawn(async move {
+                rx.await;
+                done.borrow_mut().push((i, sim2.now().as_nanos()));
+            });
+        };
+        start(0, net.transfer(&[l0], GIB as u64, FlowCap::unlimited()));
+        start(1, net.transfer(&[l0, l1], 3 << 28, FlowCap::capped(1.5)));
+        start(2, net.transfer(&[l1], 1 << 15, FlowCap::unlimited()));
+        {
+            let (net, sim2, done, observed) = (
+                net.clone(),
+                sim.clone(),
+                Rc::clone(&done),
+                Rc::clone(&observed),
+            );
+            sim.spawn(async move {
+                sim2.sleep(SimDuration::from_micros(100)).await;
+                let c = net.transfer(&[l0], 1 << 29, FlowCap::unlimited());
+                let f = net.transfer(&[l1], 1 << 28, FlowCap::unlimited());
+                observed.borrow_mut().push(net.bytes_delivered().to_bits());
+                net.set_link_capacity(l1, 2.5);
+                observed.borrow_mut().push(net.bytes_delivered().to_bits());
+                for (i, rx) in [(3, c), (4, f)] {
+                    let (sim3, done) = (sim2.clone(), Rc::clone(&done));
+                    sim2.spawn(async move {
+                        rx.await;
+                        done.borrow_mut().push((i, sim3.now().as_nanos()));
+                    });
+                }
+            });
+        }
+        sim.run().expect_quiescent();
+        observed.borrow_mut().push(net.bytes_delivered().to_bits());
+        let mut done = done.borrow().clone();
+        done.sort();
+        let times: Vec<u64> = done.into_iter().map(|(_, t)| t).collect();
+        // Recorded with the solver that drained every flow at each arrival.
+        assert_eq!(
+            times,
+            [562_500_001, 552_083_334, 20_346, 368_850_000, 200_100_000],
+            "completion instants"
+        );
+        assert_eq!(
+            *observed.borrow(),
+            [
+                0x411c_36e2_eb1c_432c,
+                0x411c_36e2_eb1c_432c,
+                0x41e4_0010_0000_0000
+            ],
+            "bytes_delivered bits"
+        );
+    }
+
+    #[test]
+    fn mid_fill_caps_and_emptied_links_are_bit_stable() {
+        // Four route shapes whose levels interleave: a narrow link L0
+        // freezes its classes first, which empties L1 (crossed only by
+        // L0's classes) while others stay unfrozen; grouped caps
+        // (2 GiB/s · n^-0.5) then bind in a later round, below L3's share.
+        let sim = Sim::new();
+        let net = FlowNet::new(&sim);
+        let l: Vec<LinkId> = [1.0, 2.0, 40.0, 10.0]
+            .iter()
+            .map(|&c| net.add_link(c))
+            .collect();
+        let flows = 400usize;
+        let done: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(vec![0; flows]));
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for i in 0..flows {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let grouped = FlowCap {
+                base_gib: 2.0,
+                group: Some(x >> 60 & 3),
+                alpha: 0.5,
+            };
+            let (route, cap) = match x % 5 {
+                0 => (vec![l[0], l[1]], FlowCap::unlimited()),
+                1 => (vec![l[0], l[2]], FlowCap::unlimited()),
+                2 | 3 => (vec![l[2]], grouped),
+                _ => (vec![l[2], l[3]], FlowCap::capped(6.0)),
+            };
+            let bytes = ((x >> 8) % 8 + 1) << 20;
+            let start = SimDuration::from_micros((i as u64 / 6) * 40);
+            let (net, sim2, done) = (net.clone(), sim.clone(), Rc::clone(&done));
+            sim.spawn(async move {
+                sim2.sleep(start).await;
+                net.transfer(&route, bytes, cap).await;
+                done.borrow_mut()[i] = sim2.now().as_nanos();
+            });
+        }
+        sim.run().expect_quiescent();
+        let sum = done
+            .borrow()
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &t| {
+                (h ^ t).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        // Recorded with the solver that rescanned every unfrozen class cap
+        // each round, on x86-64 Linux (glibc `powf`).
+        assert_eq!(sum, 0x0179_25f5_8b64_6c3b, "checksum {sum:#018x}");
     }
 }
 

@@ -30,7 +30,7 @@ use std::task::{Context, Poll, Waker};
 
 use bytes::Bytes;
 
-use crate::array::extent_end;
+use crate::array::{extent_end, read_extent_end};
 use crate::container::Container;
 use crate::error::{DaosError, Result};
 use crate::oid::{ObjectClass, Oid};
@@ -811,7 +811,7 @@ impl DaosApi for EmbeddedClient {
         offset: u64,
         len: u64,
     ) -> Result<Bytes> {
-        extent_end(offset, len)?;
+        read_extent_end(offset, len)?;
         cont.array_read(handle.oid(), offset, len)
     }
 

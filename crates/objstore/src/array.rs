@@ -22,6 +22,24 @@ pub fn extent_end(offset: u64, len: u64) -> Result<u64> {
         .ok_or(DaosError::InvalidArg("array extent overflows u64"))
 }
 
+/// The longest extent one array read may ask for: 1 GiB. A read returns
+/// its bytes in one buffer (holes zero-filled), so a larger `len` would
+/// allocate that much up front, and a huge one would abort the process.
+/// 1 GiB is ten times the longest read any experiment or benchmark
+/// issues: an IOR process reading back its 100 × 1 MiB segments at full
+/// scale.
+pub const MAX_READ_LEN: u64 = 1 << 30;
+
+/// [`extent_end`] for a read: also `InvalidArg` when `len` exceeds
+/// [`MAX_READ_LEN`]. Both backends check every read with this before
+/// placing or charging anything.
+pub fn read_extent_end(offset: u64, len: u64) -> Result<u64> {
+    if len > MAX_READ_LEN {
+        return Err(DaosError::InvalidArg("array read longer than 1 GiB"));
+    }
+    extent_end(offset, len)
+}
+
 /// An in-memory Array object.
 #[derive(Default, Debug, Clone)]
 pub struct ArrayObject {
@@ -105,7 +123,8 @@ impl ArrayObject {
                 return d.slice((offset - s) as usize..(end - s) as usize);
             }
         }
-        // Slow path: assemble with zero fill.
+        // Slow path: assemble with zero fill. Through `DaosApi`, `len` is
+        // at most `MAX_READ_LEN` here (`read_extent_end`).
         let mut out = BytesMut::zeroed(len as usize);
         for (s, d) in self.segments.range(..end) {
             let d_end = s + d.len() as u64;

@@ -30,6 +30,7 @@ use daosim_ior::{run_ior, Api, FileMode, IorParams};
 use daosim_kernel::SchedPolicy;
 use daosim_kernel::{AdmissionPolicy, Sim, SimDuration, SimTime};
 use daosim_objstore::api::EmbeddedClient;
+use daosim_objstore::array::MAX_READ_LEN;
 use daosim_objstore::{load_pool, save_pool, ObjectClass, Pool, Uuid};
 
 /// Everything a command can report back.
@@ -750,6 +751,17 @@ pub fn cmd_ior_interfaces(transfers_kib: &[u64], segments: u32, ppn: u32) -> Too
     if ppn == 0 {
         return Err(ToolError::BadArgs("--ppn must be positive".into()));
     }
+    // Each process reads its file back with one `array_read`, which
+    // rejects more than `MAX_READ_LEN` bytes.
+    let per_proc = |t: u64| t.checked_mul(1024 * segments as u64);
+    if let Some(t) = transfers_kib
+        .iter()
+        .find(|&&t| per_proc(t).is_none_or(|b| b > MAX_READ_LEN))
+    {
+        return Err(ToolError::BadArgs(format!(
+            "--transfer-kib {t} x --segments {segments} is more than 1 GiB per process"
+        )));
+    }
     let spec = ClusterSpec::tcp(1, 2);
     let point = |transfer_kib: u64, api: Api| IorParams {
         transfer_bytes: transfer_kib * 1024,
@@ -1240,6 +1252,9 @@ mod tests {
             cmd_ior_interfaces(&[16, 0], 2, 2),
             cmd_ior_interfaces(&[16], 0, 2),
             cmd_ior_interfaces(&[16], 2, 0),
+            // More than 1 GiB read back per process, or a u64 overflow.
+            cmd_ior_interfaces(&[16, 1 << 20], 2, 2),
+            cmd_ior_interfaces(&[u64::MAX / 1024], 2, 2),
         ] {
             assert!(matches!(bad, Err(ToolError::BadArgs(_))), "{bad:?}");
         }

@@ -198,3 +198,70 @@ fn overflowing_extents_are_invalid_args_on_both_backends() {
     }
     assert_eq!(got_embedded, got_simulated);
 }
+
+/// Reads longer than `MAX_READ_LEN` on one backend: just past the limit,
+/// and at `u64::MAX - 1`, on an array whose size (bytes written at 8 GiB,
+/// or at 0 for EC, which takes one extent at offset 0) makes the first
+/// range real. Returns each result plus a short read that must still
+/// work, and asserts the pool did not move.
+async fn huge_read_probes<D: DaosApi>(client: &D, pool_used: impl Fn() -> u64) -> Vec<String> {
+    use daosim::objstore::array::MAX_READ_LEN;
+    use daosim::objstore::{ObjectClass, Oid, Uuid};
+    let cont = client
+        .cont_open_or_create(Uuid::from_name(b"huge-read"))
+        .await
+        .expect("cont");
+    let mut out = Vec::new();
+    for class in [ObjectClass::S1, ObjectClass::RP2, ObjectClass::EC2P1] {
+        let h = client
+            .array_create(&cont, Oid::generate(61, class as u64, class))
+            .await
+            .expect("create");
+        let at = if class == ObjectClass::EC2P1 {
+            0
+        } else {
+            8 << 30
+        };
+        let data = Bytes::from_static(b"0123456789");
+        client
+            .array_write(&cont, &h, at, data)
+            .await
+            .expect("write");
+        let before = pool_used();
+        let past = client.array_read(&cont, &h, 0, MAX_READ_LEN + 1).await;
+        let huge = client.array_read(&cont, &h, 1, u64::MAX - 1).await;
+        let short = client.array_read(&cont, &h, at, 4).await;
+        out.push(format!(
+            "{class:?} {:?} {:?} {:?}",
+            past.map(|b| b.len()),
+            huge.map(|b| b.len()),
+            short
+        ));
+        assert_eq!(pool_used(), before, "{class:?}: a read moved the pool");
+        client.array_close(&cont, h).await.expect("close");
+    }
+    out
+}
+
+#[test]
+fn reads_longer_than_the_limit_are_invalid_args_on_both_backends() {
+    // Regression: `ArrayObject::read` zero-fills `len` bytes up front, so
+    // these reads aborted the process on allocation.
+    let (_s, pool) = DaosStore::with_single_pool(48);
+    let embedded = EmbeddedClient::new(std::sync::Arc::clone(&pool));
+    let got_embedded = run_to_end(&Sim::new(), async move {
+        huge_read_probes(&embedded, || pool.used()).await
+    });
+    let sim = Sim::new();
+    let d = Deployment::new(&sim, ClusterSpec::tcp(1, 1));
+    let client = SimClient::for_process(&d, 0, 0);
+    let got_simulated = run_to_end(&sim, async move {
+        huge_read_probes(&client, || d.pool.used()).await
+    });
+    let invalid = "Err(InvalidArg(\"array read longer than 1 GiB\"))";
+    for line in &got_embedded {
+        assert_eq!(line.matches(invalid).count(), 2, "embedded: {line}");
+        assert!(line.ends_with("Ok(b\"0123\")"), "embedded: {line}");
+    }
+    assert_eq!(got_embedded, got_simulated);
+}
