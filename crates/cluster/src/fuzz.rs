@@ -27,8 +27,8 @@
 //!    FIFO schedule): QoS barging at the service queues reorders grants
 //!    but must never change an outcome.
 //!
-//! `daosctl fuzz --seeds N --policy all` and the `sched-fuzz` experiment
-//! drive [`fuzz_corpus`] over the fixed corpus `0..N`.
+//! The `sched-fuzz` experiment (`xp sched-fuzz --seeds N --policy all`)
+//! drives [`fuzz_corpus`] over the fixed corpus `0..N`.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -582,10 +582,11 @@ pub struct FuzzFailure {
 }
 
 impl FuzzFailure {
-    /// A paste-ready reproduction command.
+    /// A paste-ready reproduction command: `xp sched-fuzz` over this
+    /// one seed under the full roster.
     pub fn repro(&self) -> String {
         format!(
-            "daosctl fuzz --seeds 1 --start {} --policy all  # {} op(s), {:?}, admission {}",
+            "xp sched-fuzz --seeds 1 --start {} --policy all  # {} op(s), {:?}, admission {}",
             self.seed,
             self.minimized.ops.len(),
             self.policy,

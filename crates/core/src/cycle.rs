@@ -134,18 +134,6 @@ impl CycleConfig {
         }
     }
 
-    /// Starts a validating builder at the [`CycleConfig::small`] shape
-    /// under `layout`. Unlike mutating the public fields directly,
-    /// [`CycleConfigBuilder::build`] runs [`CycleConfig::validate`], so
-    /// a zero shape is a typed error at construction instead of a
-    /// divide-by-zero (or a forever-stalled pipeline window) deep inside
-    /// the cycle.
-    pub fn builder(layout: IndexLayout) -> CycleConfigBuilder {
-        CycleConfigBuilder {
-            cfg: CycleConfig::small(layout),
-        }
-    }
-
     /// Checks the shape invariants every cycle run relies on: a zero in
     /// any of these fields would divide by zero (`reader_pick`), stall a
     /// pipeline window forever, or make the deadline ledger vacuous.
@@ -165,95 +153,6 @@ impl CycleConfig {
             }
         }
         Ok(())
-    }
-}
-
-/// Validating builder for [`CycleConfig`], in the same style as
-/// `FieldIoConfig::builder()`: starts at the `small` preset, one setter
-/// per knob, and `build()` returns `Result` so the validate step can't
-/// be skipped.
-#[derive(Clone, Copy, Debug)]
-pub struct CycleConfigBuilder {
-    cfg: CycleConfig,
-}
-
-impl CycleConfigBuilder {
-    pub fn writers(mut self, n: u32) -> Self {
-        self.cfg.writers = n;
-        self
-    }
-
-    pub fn readers(mut self, n: u32) -> Self {
-        self.cfg.readers = n;
-        self
-    }
-
-    pub fn steps(mut self, n: u32) -> Self {
-        self.cfg.steps = n;
-        self
-    }
-
-    pub fn fields_per_step(mut self, n: u32) -> Self {
-        self.cfg.fields_per_step = n;
-        self
-    }
-
-    pub fn field_bytes(mut self, bytes: u64) -> Self {
-        self.cfg.field_bytes = bytes;
-        self
-    }
-
-    /// Wall-clock between steps — also each step's deadline budget.
-    pub fn step_interval(mut self, interval: SimDuration) -> Self {
-        self.cfg.step_interval = interval;
-        self
-    }
-
-    pub fn layout(mut self, layout: IndexLayout) -> Self {
-        self.cfg.layout = layout;
-        self
-    }
-
-    /// Writer pipeline window (W of `pipelined_writer`).
-    pub fn write_window(mut self, w: u32) -> Self {
-        self.cfg.write_window = w;
-        self
-    }
-
-    /// Reader pipeline window for `read_fields_pipelined`.
-    pub fn read_window(mut self, w: u32) -> Self {
-        self.cfg.read_window = w;
-        self
-    }
-
-    pub fn reads_per_step(mut self, n: u32) -> Self {
-        self.cfg.reads_per_step = n;
-        self
-    }
-
-    /// Service-queue admission policy the deployment enforces.
-    pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
-        self.cfg.admission = policy;
-        self
-    }
-
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Enables the background SCM→NVMe aggregation service for the run
-    /// (meaningful only when the spec's media is tiered).
-    pub fn aggregation(mut self, cfg: Option<AggregationConfig>) -> Self {
-        self.cfg.aggregation = cfg;
-        self
-    }
-
-    /// Validates the shape and returns the config, or the first violated
-    /// invariant as a [`CycleConfigError`].
-    pub fn build(self) -> Result<CycleConfig, CycleConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 

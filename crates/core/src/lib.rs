@@ -35,8 +35,8 @@ pub mod trace;
 pub mod workload;
 
 pub use cycle::{
-    cycle_contents, run_nwp_cycle, CycleConfig, CycleConfigBuilder, CycleConfigError, CycleOutcome,
-    DeadlineLedger, IndexLayout,
+    cycle_contents, run_nwp_cycle, CycleConfig, CycleConfigError, CycleOutcome, DeadlineLedger,
+    IndexLayout,
 };
 pub use fieldio::{FieldIoConfig, FieldIoError, FieldIoMode, FieldResult, FieldStore};
 pub use key::{FieldKey, KeyPart, KeySchema};
@@ -45,10 +45,12 @@ pub use metrics::{
     PhaseStats, Recorder,
 };
 pub use obs::{
-    chrome_trace_json, json_is_wellformed, spans_to_csv, validate_spans, MetricsSnapshot,
-    SpanEvent, TraceSummary,
+    chrome_trace_json, json_is_wellformed, spans_to_csv, validate_spans, write_chrome_trace,
+    MetricsSnapshot, SpanEvent, TraceSummary,
 };
 pub use patterns::{run_pattern_a, run_pattern_b, PatternConfig, PatternResult};
 pub use request::{archive_all, retrieve, Request, Retrieval};
-pub use trace::{replay, replay_traced, Pacing, ReplayStats, Trace, TraceEntry, TracedReplay};
+pub use trace::{
+    replay, replay_traced, Pacing, ReplayOutcome, ReplayStats, Trace, TraceEntry, TracedReplay,
+};
 pub use workload::{payload, Contention, KeyGen};

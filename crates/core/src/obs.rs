@@ -369,6 +369,32 @@ pub fn validate_spans(events: &[SpanEvent]) -> Result<TraceSummary, String> {
     })
 }
 
+/// Writes a recorded span stream to `path` as Chrome trace-event JSON,
+/// the one export path behind `xp --trace-out` and `daosctl trace`. The
+/// stream must validate and close every span, and the rendered JSON
+/// must be well-formed; otherwise nothing is written and the error is
+/// `InvalidData`. Returns the stream's summary.
+pub fn write_chrome_trace(
+    events: &[SpanEvent],
+    path: &std::path::Path,
+) -> std::io::Result<TraceSummary> {
+    let bad = |m: String| std::io::Error::new(std::io::ErrorKind::InvalidData, m);
+    let summary =
+        validate_spans(events).map_err(|e| bad(format!("recorded trace is malformed: {e}")))?;
+    if summary.unclosed > 0 {
+        return Err(bad(format!(
+            "recorded trace left {} span(s) unclosed",
+            summary.unclosed
+        )));
+    }
+    let json = chrome_trace_json(events);
+    if !json_is_wellformed(&json) {
+        return Err(bad("exported trace JSON is malformed".into()));
+    }
+    std::fs::write(path, json)?;
+    Ok(summary)
+}
+
 /// Minimal recursive-descent JSON well-formedness check, used by the
 /// trace smoke tests so export validation does not depend on an external
 /// JSON crate.
@@ -594,6 +620,21 @@ mod tests {
         let ev = vec![begin(0, None, 0, false), begin(1, Some(0), 1, true)];
         let s = validate_spans(&ev).unwrap();
         assert_eq!((s.spans, s.unclosed), (0, 2));
+    }
+
+    #[test]
+    fn written_trace_must_close_every_span() {
+        let path = std::env::temp_dir().join(format!("obs-trace-{}.json", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let open = vec![begin(0, None, 0, false)];
+        let err = write_chrome_trace(&open, &path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(!path.exists(), "a rejected trace must not be written");
+        let closed = vec![begin(0, None, 0, false), end(0, 1)];
+        let summary = write_chrome_trace(&closed, &path).unwrap();
+        assert_eq!(summary.spans, 1);
+        assert!(json_is_wellformed(&std::fs::read_to_string(&path).unwrap()));
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -287,24 +287,15 @@ pub struct ReplayOutcome {
     pub read_events: Vec<EventRecord>,
 }
 
-/// Replays `trace` on a fresh deployment of `spec`, one task per process.
-pub fn replay(
-    spec: ClusterSpec,
-    fieldio: FieldIoConfig,
-    trace: &Trace,
-    pacing: Pacing,
-) -> ReplayStats {
-    replay_detailed(spec, fieldio, trace, pacing, None).stats
-}
-
-/// Like [`replay`], optionally injecting `faults` while the trace runs.
+/// Replays `trace` on a fresh deployment of `spec`, one task per
+/// process, optionally injecting `faults` while the trace runs.
 ///
 /// With faults in play operations may fail (retry budget exhausted, or
 /// fail-fast policy): failed ops are *counted* — not panicked on — and
 /// leave an `IoStart` without a matching `IoEnd`, so they also surface
 /// through [`crate::metrics::LatencyStats::incomplete`] and the dropped
 /// iteration count of bandwidth summaries.
-pub fn replay_detailed(
+pub fn replay(
     spec: ClusterSpec,
     fieldio: FieldIoConfig,
     trace: &Trace,
@@ -326,7 +317,7 @@ pub struct TracedReplay {
     pub metrics: MetricsSnapshot,
 }
 
-/// Like [`replay_detailed`], but with span tracing enabled for the whole
+/// Like [`replay`], but with span tracing enabled for the whole
 /// run. Tracing is keyed on sim time only, so the replay outcome is
 /// bit-identical to an untraced run, and two traced runs of the same
 /// trace produce byte-identical span streams.
@@ -558,6 +549,12 @@ mod tests {
         Trace::synthesize_operational(8, 2, 6, MIB, SimDuration::from_millis(60))
     }
 
+    fn no_containers() -> FieldIoConfig {
+        FieldIoConfig::builder()
+            .mode(FieldIoMode::NoContainers)
+            .build()
+    }
+
     #[test]
     fn synthesis_shape() {
         let t = small_trace();
@@ -622,9 +619,7 @@ mod tests {
         let run = || {
             replay_traced(
                 ClusterSpec::tcp(1, 1),
-                FieldIoConfig::builder()
-                    .mode(FieldIoMode::NoContainers)
-                    .build(),
+                no_containers(),
                 &t,
                 Pacing::AsFast,
                 None,
@@ -658,12 +653,12 @@ mod tests {
         // Tracing must not change the modelled outcome.
         let plain = replay(
             ClusterSpec::tcp(1, 1),
-            FieldIoConfig::builder()
-                .mode(FieldIoMode::NoContainers)
-                .build(),
+            no_containers(),
             &t,
             Pacing::AsFast,
-        );
+            None,
+        )
+        .stats;
         assert_eq!(plain.end_secs.to_bits(), a.outcome.stats.end_secs.to_bits());
     }
 
@@ -671,12 +666,12 @@ mod tests {
     fn paced_replay_keeps_up_on_an_idle_cluster() {
         let r = replay(
             ClusterSpec::tcp(1, 2),
-            FieldIoConfig::builder()
-                .mode(FieldIoMode::NoContainers)
-                .build(),
+            no_containers(),
             &small_trace(),
             Pacing::Paced,
-        );
+            None,
+        )
+        .stats;
         assert_eq!(r.writes.io_count, 96);
         assert_eq!(r.reads.io_count, 96);
         // A lightly loaded cluster finishes each op well within a step.
@@ -694,20 +689,20 @@ mod tests {
         let t = small_trace();
         let fast = replay(
             ClusterSpec::tcp(1, 2),
-            FieldIoConfig::builder()
-                .mode(FieldIoMode::NoContainers)
-                .build(),
+            no_containers(),
             &t,
             Pacing::AsFast,
-        );
+            None,
+        )
+        .stats;
         let paced = replay(
             ClusterSpec::tcp(1, 2),
-            FieldIoConfig::builder()
-                .mode(FieldIoMode::NoContainers)
-                .build(),
+            no_containers(),
             &t,
             Pacing::Paced,
-        );
+            None,
+        )
+        .stats;
         assert!(
             fast.end_secs < paced.end_secs,
             "as-fast {} vs paced {}",
@@ -724,14 +719,7 @@ mod tests {
         let t = Trace::synthesize_operational(16, 2, 12, MIB, SimDuration::from_micros(600));
         let mut spec = ClusterSpec::tcp(1, 2);
         spec.engines_per_node = 1;
-        let r = replay(
-            spec,
-            FieldIoConfig::builder()
-                .mode(FieldIoMode::NoContainers)
-                .build(),
-            &t,
-            Pacing::Paced,
-        );
+        let r = replay(spec, no_containers(), &t, Pacing::Paced, None).stats;
         assert!(
             r.max_tardiness_ms > 1.0,
             "an overloaded schedule must fall behind: max {} ms",
@@ -747,11 +735,9 @@ mod tests {
         // failures must be *counted*, not panicked on.
         let t = small_trace();
         let plan = FaultPlan::new().kill(SimDuration::from_millis(5), 0);
-        let out = replay_detailed(
+        let out = replay(
             ClusterSpec::tcp(1, 2),
-            FieldIoConfig::builder()
-                .mode(FieldIoMode::NoContainers)
-                .build(),
+            no_containers(),
             &t,
             Pacing::Paced,
             Some(&plan),
@@ -781,17 +767,24 @@ mod tests {
         let t = small_trace();
         let seq = replay(
             ClusterSpec::tcp(1, 2),
-            FieldIoConfig::builder()
-                .mode(FieldIoMode::NoContainers)
-                .build(),
+            no_containers(),
             &t,
             Pacing::AsFast,
-        );
+            None,
+        )
+        .stats;
         let cfg = FieldIoConfig::builder()
             .mode(FieldIoMode::NoContainers)
             .window(8)
             .build();
-        let pip = replay(ClusterSpec::tcp(1, 2), cfg.clone(), &t, Pacing::AsFast);
+        let pip = replay(
+            ClusterSpec::tcp(1, 2),
+            cfg.clone(),
+            &t,
+            Pacing::AsFast,
+            None,
+        )
+        .stats;
         assert_eq!(pip.writes.io_count, seq.writes.io_count);
         assert_eq!(pip.reads.io_count, seq.reads.io_count);
         assert_eq!(pip.writes.total_bytes, seq.writes.total_bytes);
@@ -802,7 +795,7 @@ mod tests {
             seq.end_secs
         );
         // Windowed replays stay deterministic.
-        let again = replay(ClusterSpec::tcp(1, 2), cfg, &t, Pacing::AsFast);
+        let again = replay(ClusterSpec::tcp(1, 2), cfg, &t, Pacing::AsFast, None).stats;
         assert_eq!(pip.end_secs.to_bits(), again.end_secs.to_bits());
     }
 
@@ -814,13 +807,17 @@ mod tests {
             FieldIoConfig::default(),
             &t,
             Pacing::Paced,
-        );
+            None,
+        )
+        .stats;
         let b = replay(
             ClusterSpec::tcp(1, 1),
             FieldIoConfig::default(),
             &t,
             Pacing::Paced,
-        );
+            None,
+        )
+        .stats;
         assert_eq!(a.end_secs.to_bits(), b.end_secs.to_bits());
         assert_eq!(a.mean_tardiness_ms.to_bits(), b.mean_tardiness_ms.to_bits());
     }

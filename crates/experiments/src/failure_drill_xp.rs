@@ -19,7 +19,7 @@
 use daosim_cluster::{ClusterSpec, FaultPlan, RetryPolicy};
 use daosim_core::fieldio::FieldIoConfig;
 use daosim_core::metrics::anchored_bandwidth_timeline;
-use daosim_core::trace::{replay_detailed, Pacing, ReplayOutcome, Trace};
+use daosim_core::trace::{replay, Pacing, ReplayOutcome, Trace};
 use daosim_kernel::{SimDuration, SimTime};
 use daosim_objstore::ObjectClass;
 
@@ -92,7 +92,7 @@ pub fn failure_drill(scale: &Scale) -> Report {
     let fields_per_step = (scale.ops_per_proc / 10).clamp(2, 6);
     let trace = Trace::synthesize_operational(procs, 4, fields_per_step, MIB, step_interval());
     let plan = drill_plan();
-    let out: ReplayOutcome = replay_detailed(
+    let out: ReplayOutcome = replay(
         drill_spec(),
         drill_fieldio(),
         &trace,

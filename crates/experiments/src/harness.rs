@@ -121,6 +121,7 @@ pub struct Report {
     rows: Vec<Vec<String>>,
     notes: Vec<String>,
     artifacts: Vec<(String, String)>,
+    failures: Vec<String>,
 }
 
 impl Report {
@@ -132,6 +133,7 @@ impl Report {
             rows: Vec::new(),
             notes: Vec::new(),
             artifacts: Vec::new(),
+            failures: Vec::new(),
         }
     }
 
@@ -148,6 +150,17 @@ impl Report {
 
     pub fn note(&mut self, s: impl Into<String>) {
         self.notes.push(s.into());
+    }
+
+    /// Records a check the run failed (e.g. a fuzz divergence). The
+    /// report still renders and saves; `xp` prints each failure to
+    /// stderr and exits 1.
+    pub fn fail(&mut self, s: impl Into<String>) {
+        self.failures.push(s.into());
+    }
+
+    pub fn failures(&self) -> &[String] {
+        &self.failures
     }
 
     pub fn rows(&self) -> &[Vec<String>] {
@@ -233,6 +246,31 @@ impl Report {
         }
         Ok(())
     }
+}
+
+/// Renders a JSON object in the committed artifacts' layout: one
+/// `"key": value` per line, nested `depth` levels of two spaces. Values
+/// are already JSON: numbers by `Display`, strings through [`quoted`],
+/// nested objects and arrays rendered one level deeper.
+pub(crate) fn json_object(depth: usize, fields: &[(&str, String)]) -> String {
+    let pad = "  ".repeat(depth);
+    let lines: Vec<String> = fields
+        .iter()
+        .map(|(k, v)| format!("{pad}  \"{k}\": {v}"))
+        .collect();
+    format!("{{\n{}\n{pad}}}", lines.join(",\n"))
+}
+
+/// Renders a JSON array with one element per line, nested `depth`
+/// levels deep.
+pub(crate) fn json_array(depth: usize, items: &[String]) -> String {
+    let pad = "  ".repeat(depth);
+    format!("[\n{pad}  {}\n{pad}]", items.join(&format!(",\n{pad}  ")))
+}
+
+/// A JSON string literal (artifact strings never need escaping).
+pub(crate) fn quoted(s: &str) -> String {
+    format!("\"{s}\"")
 }
 
 /// Formats a bandwidth cell.

@@ -13,30 +13,95 @@
 //! and vanishes (ratio → 1) once transfers are large enough to amortize
 //! it.
 //!
-//! All numbers are sim-derived, so reruns are byte-identical.
-
-use std::fmt::Write as _;
+//! All numbers are sim-derived, so reruns are byte-identical. `xp
+//! ior-interfaces` flags override the sweep ([`Params`]).
 
 use daosim_cluster::ClusterSpec;
 use daosim_ior::{run_ior, Api, FileMode, IorParams};
+use daosim_objstore::array::MAX_READ_LEN;
 use daosim_objstore::prelude::ObjectClass;
 
-use crate::harness::{gib, parallel_map, Report, Scale};
+use crate::harness::{gib, json_array, json_object, parallel_map, quoted, Report, Scale};
+use crate::params::{list, num, positive, unknown, ArgError, Flags};
 
 const KIB: u64 = 1024;
 
-/// Transfer sizes swept (`-t = -b`), small enough that dirent traffic
-/// shows, large enough that it drowns.
-pub const TRANSFER_KIB: [u64; 5] = [16, 64, 256, 1024, 4096];
+/// The `tcp(1, 2)` deployment every point runs on.
+fn deployment() -> ClusterSpec {
+    ClusterSpec::tcp(1, 2)
+}
 
-fn point(transfer_kib: u64, segments: u32, api: Api) -> IorParams {
+/// `xp ior-interfaces` parameters.
+#[derive(Clone, Debug)]
+pub struct Params {
+    /// Transfer sizes swept (`-t = -b`, `--transfer-kib A,B,...`), small
+    /// enough that dirent traffic shows, large enough that it drowns.
+    pub transfers_kib: Vec<u64>,
+    /// Segments per process (`--segments`).
+    pub segments: u32,
+    /// Processes per client node (`--ppn`).
+    pub ppn: u32,
+}
+
+impl Flags for Params {
+    fn at(scale: &Scale) -> Self {
+        Params {
+            transfers_kib: vec![16, 64, 256, 1024, 4096],
+            // Few segments per point: the per-file dirent cost is fixed,
+            // so a small byte total keeps it visible at the
+            // small-transfer end.
+            segments: scale.segments.clamp(2, 8),
+            ppn: 4,
+        }
+    }
+
+    fn set(&mut self, flag: &str, value: &str) -> Result<(), ArgError> {
+        match flag {
+            "--transfer-kib" => self.transfers_kib = list(flag, value)?,
+            "--segments" => self.segments = num(flag, value)?,
+            "--ppn" => self.ppn = num(flag, value)?,
+            _ => return Err(unknown(flag)),
+        }
+        Ok(())
+    }
+
+    /// The IOR rank count must fit its `u32`, and each process reads
+    /// its file back with one `array_read`, which rejects more than
+    /// `MAX_READ_LEN` bytes.
+    fn validate(&self) -> Result<(), String> {
+        positive(&[
+            ("--segments", self.segments as u64),
+            ("--ppn", self.ppn as u64),
+        ])?;
+        if self
+            .ppn
+            .checked_mul(deployment().client_nodes as u32)
+            .is_none()
+        {
+            return Err(format!("--ppn {} overflows the rank count", self.ppn));
+        }
+        for &t in &self.transfers_kib {
+            positive(&[("--transfer-kib", t)])?;
+            let per_proc = t.checked_mul(KIB * self.segments as u64);
+            if per_proc.is_none_or(|b| b > MAX_READ_LEN) {
+                return Err(format!(
+                    "--transfer-kib {t} x --segments {} is more than 1 GiB per process",
+                    self.segments
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+fn point(p: &Params, transfer_kib: u64, api: Api) -> IorParams {
     // SX striping: every file spreads over all targets, so the two runs
     // share one data-path shape and the measured delta is purely the
     // namespace (S1 would add single-stripe placement luck per oid draw).
     IorParams {
         transfer_bytes: transfer_kib * KIB,
-        segments,
-        procs_per_node: 4,
+        segments: p.segments,
+        procs_per_node: p.ppn,
         class: ObjectClass::SX,
         iterations: 1,
         file_mode: FileMode::FilePerProcess,
@@ -47,14 +112,11 @@ fn point(transfer_kib: u64, segments: u32, api: Api) -> IorParams {
 
 /// Runs the interface sweep and renders the report plus the
 /// `BENCH_ior_interfaces.json` artifact.
-pub fn ior_interfaces(scale: &Scale) -> Report {
-    let spec = ClusterSpec::tcp(1, 2);
-    // Few segments per point: the per-file dirent cost is fixed, so a
-    // small byte total keeps it visible at the small-transfer end.
-    let segments = scale.segments.clamp(2, 8);
-    let results = parallel_map(TRANSFER_KIB.to_vec(), |&t| {
-        let daos = run_ior(spec, point(t, segments, Api::Daos));
-        let dfs = run_ior(spec, point(t, segments, Api::Dfs));
+pub fn run(p: &Params) -> Report {
+    let spec = deployment();
+    let results = parallel_map(p.transfers_kib.clone(), |&t| {
+        let daos = run_ior(spec, point(p, t, Api::Daos));
+        let dfs = run_ior(spec, point(p, t, Api::Dfs));
         (t, daos, dfs)
     });
     let mut rep = Report::new(
@@ -70,19 +132,8 @@ pub fn ior_interfaces(scale: &Scale) -> Report {
             "read_overhead",
         ],
     );
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"experiment\": \"ior-interfaces\",");
-    let _ = writeln!(
-        json,
-        "  \"cluster\": \"tcp(server_nodes=1, client_nodes=2)\","
-    );
-    let _ = writeln!(json, "  \"procs_per_node\": 4,");
-    let _ = writeln!(json, "  \"segments\": {segments},");
-    let _ = writeln!(json, "  \"file_mode\": \"file-per-process\",");
-    let _ = writeln!(json, "  \"overhead\": \"daos_bw / dfs_bw\",");
-    let _ = writeln!(json, "  \"rows\": [");
-    for (i, (t, daos, dfs)) in results.iter().enumerate() {
+    let mut rows = Vec::new();
+    for (t, daos, dfs) in &results {
         let w_over = daos.write_bw() / dfs.write_bw();
         let r_over = daos.read_bw() / dfs.read_bw();
         rep.row(vec![
@@ -94,22 +145,32 @@ pub fn ior_interfaces(scale: &Scale) -> Report {
             gib(dfs.read_bw()),
             format!("{r_over:.3}"),
         ]);
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"transfer_kib\": {t}, \"daos_write_gib_s\": {}, \"dfs_write_gib_s\": {}, \"write_overhead\": {w_over}, \"daos_read_gib_s\": {}, \"dfs_read_gib_s\": {}, \"read_overhead\": {r_over}}}{comma}",
+        rows.push(format!(
+            "{{\"transfer_kib\": {t}, \"daos_write_gib_s\": {}, \"dfs_write_gib_s\": {}, \"write_overhead\": {w_over}, \"daos_read_gib_s\": {}, \"dfs_read_gib_s\": {}, \"read_overhead\": {r_over}}}",
             daos.write_bw(),
             dfs.write_bw(),
             daos.read_bw(),
             dfs.read_bw(),
-        );
+        ));
     }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
+    let json = json_object(
+        0,
+        &[
+            ("experiment", quoted("ior-interfaces")),
+            ("cluster", quoted("tcp(server_nodes=1, client_nodes=2)")),
+            ("procs_per_node", p.ppn.to_string()),
+            ("segments", p.segments.to_string()),
+            ("file_mode", quoted("file-per-process")),
+            ("overhead", quoted("daos_bw / dfs_bw")),
+            ("rows", json_array(1, &rows)),
+        ],
+    );
     rep.note(format!(
-        "8 procs x {segments} segments per point, inflight 1; DFS adds per-file dirent create/walk/update inside the measured window"
+        "{} procs x {} segments per point, inflight 1; DFS adds per-file dirent create/walk/update inside the measured window",
+        p.ppn as u64 * spec.client_nodes as u64,
+        p.segments
     ));
-    rep.artifact("BENCH_ior_interfaces.json", json);
+    rep.artifact("BENCH_ior_interfaces.json", json + "\n");
     rep
 }
 
@@ -119,8 +180,8 @@ mod tests {
 
     #[test]
     fn overhead_shrinks_with_transfer_size() {
-        let rep = ior_interfaces(&Scale::quick());
-        assert_eq!(rep.rows().len(), TRANSFER_KIB.len());
+        let rep = run(&Params::at(&Scale::quick()));
+        assert_eq!(rep.rows().len(), 5);
         let write_over: Vec<f64> = rep.rows().iter().map(|r| r[3].parse().unwrap()).collect();
         let read_over: Vec<f64> = rep.rows().iter().map(|r| r[6].parse().unwrap()).collect();
         // DFS never beats raw DAOS (same data path plus extra metadata).
@@ -148,8 +209,8 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic() {
-        let a = ior_interfaces(&Scale::quick());
-        let b = ior_interfaces(&Scale::quick());
+        let a = run(&Params::at(&Scale::quick()));
+        let b = run(&Params::at(&Scale::quick()));
         assert_eq!(a.rows(), b.rows());
         assert_eq!(a.artifacts(), b.artifacts());
     }

@@ -14,7 +14,8 @@
 //! `enforcement` block quantifying what writer-priority admission buys
 //! the saturated shared-index cycle (and what the readers pay).
 //! Everything is sim-derived and seed-fixed, so reruns are
-//! byte-identical.
+//! byte-identical. `xp nwp-cycle` flags override the cycle shape and
+//! narrow the three axes ([`Params`]).
 
 use std::fmt::Write as _;
 
@@ -22,7 +23,8 @@ use daosim_cluster::{ClusterSpec, FaultPlan, RetryPolicy};
 use daosim_core::cycle::{run_nwp_cycle, CycleConfig, CycleOutcome, IndexLayout};
 use daosim_kernel::{AdmissionPolicy, SimDuration};
 
-use crate::harness::{parallel_map, Report, Scale};
+use crate::harness::{json_array, json_object, parallel_map, quoted, Report, Scale};
+use crate::params::{num, one_or_both, scaled, unknown, ArgError, Flags};
 
 /// The experiment's deployment: one dual-engine server node, clients on
 /// two nodes — small enough for CI, contended enough to separate the
@@ -35,36 +37,109 @@ fn spec(faults: bool) -> ClusterSpec {
     spec
 }
 
-/// Cycle shape at `scale`. Both shapes are *reader-saturated*: the
-/// writer fleet alone fits comfortably inside the step interval, but
-/// the much larger reader fleet waking at every step boundary floods
-/// the service queues — so under FIFO admission writer completions
-/// queue behind reader ops and blow the deadline, and the admission
-/// policy (not raw bandwidth) decides the writer tail. The full shape
-/// doubles the fleet and adds a step so the separation is unmistakable.
-fn cycle_config(scale: &Scale, layout: IndexLayout, admission: AdmissionPolicy) -> CycleConfig {
-    let mut b = CycleConfig::builder(layout)
-        .writers(6)
-        .readers(32)
-        .steps(3)
-        .fields_per_step(3)
-        .field_bytes(512 * 1024)
-        .step_interval(SimDuration::from_millis(16))
-        .write_window(4)
-        .read_window(8)
-        .reads_per_step(8);
-    if scale.ops_per_proc >= 30 {
-        b = b
-            .writers(8)
-            .readers(48)
-            .steps(4)
-            .fields_per_step(4)
-            .step_interval(SimDuration::from_millis(25))
-            .write_window(8);
+/// Cycle shape at `scale`, shared by `nwp-cycle` and `tiering` (each
+/// row sets its own layout and admission). Both shapes are
+/// *reader-saturated*: the writer fleet alone fits comfortably inside
+/// the step interval, but the much larger reader fleet waking at every
+/// step boundary floods the service queues — so under FIFO admission
+/// writer completions queue behind reader ops and blow the deadline, and
+/// the admission policy (not raw bandwidth) decides the writer tail. The
+/// full shape doubles the fleet and adds a step so the separation is
+/// unmistakable.
+pub(crate) fn cycle_at(scale: &Scale) -> CycleConfig {
+    let full = scale.ops_per_proc >= 30;
+    CycleConfig {
+        writers: if full { 8 } else { 6 },
+        readers: if full { 48 } else { 32 },
+        steps: if full { 4 } else { 3 },
+        fields_per_step: if full { 4 } else { 3 },
+        field_bytes: 512 * 1024,
+        step_interval: SimDuration::from_millis(if full { 25 } else { 16 }),
+        write_window: if full { 8 } else { 4 },
+        read_window: 8,
+        reads_per_step: 8,
+        ..CycleConfig::small(IndexLayout::Shared)
     }
-    b.admission(admission)
-        .build()
-        .expect("experiment cycle shape is statically nonzero")
+}
+
+/// Applies one cycle-shape flag. The pipeline windows and reads per step
+/// have no flag and stay as committed.
+pub(crate) fn set_cycle(cfg: &mut CycleConfig, flag: &str, value: &str) -> Result<(), ArgError> {
+    match flag {
+        "--writers" => cfg.writers = num(flag, value)?,
+        "--readers" => cfg.readers = num(flag, value)?,
+        "--steps" => cfg.steps = num(flag, value)?,
+        "--fields" => cfg.fields_per_step = num(flag, value)?,
+        "--kib" => cfg.field_bytes = scaled(flag, value, 1024)?,
+        "--interval-ms" => {
+            cfg.step_interval = SimDuration::from_nanos(scaled(flag, value, 1_000_000)?)
+        }
+        "--seed" => cfg.seed = num(flag, value)?,
+        _ => return Err(unknown(flag)),
+    }
+    Ok(())
+}
+
+/// Rejects zero shapes, naming the field, and cycles whose span (with
+/// the tiering grid's 4x aggregation horizon) overflows the clock.
+pub(crate) fn validate_cycle(cfg: &CycleConfig) -> Result<(), String> {
+    cfg.validate().map_err(|e| e.to_string())?;
+    match cfg
+        .step_interval
+        .as_nanos()
+        .checked_mul((cfg.steps as u64 + 1) * 4)
+    {
+        Some(_) => Ok(()),
+        None => Err("--interval-ms x --steps overflows the simulated clock".into()),
+    }
+}
+
+/// `xp nwp-cycle` parameters: the cycle shape plus the three axes the
+/// report crosses, each one value or `both`.
+#[derive(Clone, Debug)]
+pub struct Params {
+    pub cycle: CycleConfig,
+    /// `--layout shared|per-process|both`.
+    pub layouts: Vec<IndexLayout>,
+    /// `--admission fifo|writer-priority|both`.
+    pub admissions: Vec<AdmissionPolicy>,
+    /// `--faults off|on|both`.
+    pub faults: Vec<bool>,
+}
+
+impl Flags for Params {
+    fn at(scale: &Scale) -> Self {
+        Params {
+            cycle: cycle_at(scale),
+            layouts: IndexLayout::all().to_vec(),
+            admissions: vec![AdmissionPolicy::Fifo, AdmissionPolicy::writer_priority()],
+            faults: vec![false, true],
+        }
+    }
+
+    fn set(&mut self, flag: &str, value: &str) -> Result<(), ArgError> {
+        use IndexLayout::{PerProcess, Shared};
+        let admissions = [AdmissionPolicy::Fifo, AdmissionPolicy::writer_priority()];
+        match flag {
+            "--layout" => {
+                self.layouts = one_or_both(
+                    flag,
+                    value,
+                    &[("shared", Shared), ("per-process", PerProcess)],
+                )?
+            }
+            "--admission" => {
+                self.admissions = one_or_both(flag, value, &admissions.map(|a| (a.name(), a)))?
+            }
+            "--faults" => self.faults = one_or_both(flag, value, &[("off", false), ("on", true)])?,
+            _ => set_cycle(&mut self.cycle, flag, value)?,
+        }
+        Ok(())
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        validate_cycle(&self.cycle)
+    }
 }
 
 /// The optional contention + failure axis: a seeded random campaign over
@@ -74,37 +149,46 @@ fn campaign(cfg: &CycleConfig, engines: u32) -> FaultPlan {
     FaultPlan::random_campaign(11, engines, horizon)
 }
 
-fn p50_p99(lat: &Option<daosim_core::metrics::LatencyStats>) -> (f64, f64) {
+/// A latency summary's (p50, p99) in µs, zeros when nothing completed.
+pub(crate) fn p50_p99(lat: &Option<daosim_core::metrics::LatencyStats>) -> (f64, f64) {
     lat.as_ref().map_or((0.0, 0.0), |l| (l.p50_us, l.p99_us))
 }
 
 /// One configuration of the three-way axis, in row order.
 type Config = (IndexLayout, AdmissionPolicy, bool);
 
-fn configs() -> Vec<Config> {
-    let mut v = Vec::new();
-    for layout in IndexLayout::all() {
-        for admission in [AdmissionPolicy::Fifo, AdmissionPolicy::writer_priority()] {
-            for faults in [false, true] {
-                v.push((layout, admission, faults));
+/// Runs every selected configuration (layouts × admission × faults,
+/// layout-major) and renders the report plus the
+/// `BENCH_nwp_cycle.json` artifact. The crossover and enforcement
+/// blocks appear when the rows they compare were run.
+pub fn run(p: &Params) -> Report {
+    let mut configs: Vec<Config> = Vec::new();
+    for &layout in &p.layouts {
+        for &admission in &p.admissions {
+            for &faults in &p.faults {
+                configs.push((layout, admission, faults));
             }
         }
     }
-    v
-}
-
-/// Runs the eight configurations (layouts × admission × faults) and
-/// renders the report plus the `BENCH_nwp_cycle.json` artifact.
-pub fn nwp_cycle(scale: &Scale) -> Report {
-    let results: Vec<(Config, CycleOutcome)> = parallel_map(configs(), |&(layout, adm, faults)| {
+    let results: Vec<(Config, CycleOutcome)> = parallel_map(configs, |&(layout, adm, faults)| {
         let spec = spec(faults);
-        let cfg = cycle_config(scale, layout, adm);
+        let cfg = CycleConfig {
+            layout,
+            admission: adm,
+            ..p.cycle
+        };
         let plan = faults.then(|| campaign(&cfg, spec.engines()));
         let out = run_nwp_cycle(spec, &cfg, plan.as_ref()).expect("valid cycle config");
         ((layout, adm, faults), out)
     });
+    let clean = |layout: IndexLayout, adm: AdmissionPolicy| {
+        results
+            .iter()
+            .find(|(c, _)| *c == (layout, adm, false))
+            .map(|(_, out)| out)
+    };
 
-    let cfg = cycle_config(scale, IndexLayout::Shared, AdmissionPolicy::Fifo);
+    let cfg = &p.cycle;
     let mut rep = Report::new(
         "nwp-cycle",
         "Extension: operational NWP cycle — writer deadlines vs reader fleet, shared vs split index, FIFO vs writer-priority admission",
@@ -121,25 +205,8 @@ pub fn nwp_cycle(scale: &Scale) -> Report {
             "secs",
         ],
     );
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"experiment\": \"nwp-cycle\",");
-    let _ = writeln!(
-        json,
-        "  \"cluster\": \"tcp(server_nodes=1, client_nodes=2)\","
-    );
-    let _ = writeln!(json, "  \"writers\": {},", cfg.writers);
-    let _ = writeln!(json, "  \"readers\": {},", cfg.readers);
-    let _ = writeln!(json, "  \"steps\": {},", cfg.steps);
-    let _ = writeln!(json, "  \"fields_per_step\": {},", cfg.fields_per_step);
-    let _ = writeln!(json, "  \"field_bytes\": {},", cfg.field_bytes);
-    let _ = writeln!(
-        json,
-        "  \"step_interval_ms\": {},",
-        cfg.step_interval.as_nanos() / 1_000_000
-    );
-    let _ = writeln!(json, "  \"rows\": [");
-    for (i, ((_, adm, faults), out)) in results.iter().enumerate() {
+    let mut rows = Vec::new();
+    for ((_, adm, faults), out) in &results {
         let (wp50, wp99) = p50_p99(&out.writer_lat);
         let (rp50, rp99) = p50_p99(&out.reader_lat);
         rep.row(vec![
@@ -159,135 +226,120 @@ pub fn nwp_cycle(scale: &Scale) -> Report {
             .iter()
             .map(|(t, d)| format!("[{t}, {d}]"))
             .collect();
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"layout\": \"{}\",", out.layout.name());
-        let _ = writeln!(json, "      \"admission\": \"{}\",", adm.name());
-        let _ = writeln!(json, "      \"faults\": {faults},");
-        let _ = writeln!(json, "      \"end_secs\": {},", out.end_secs);
-        let _ = writeln!(json, "      \"writer_p50_us\": {wp50},");
-        let _ = writeln!(json, "      \"writer_p99_us\": {wp99},");
-        let _ = writeln!(json, "      \"reader_p50_us\": {rp50},");
-        let _ = writeln!(json, "      \"reader_p99_us\": {rp99},");
-        let _ = writeln!(
-            json,
-            "      \"writer_class_p99_us\": {},",
-            out.writer_p99_us
-        );
-        let _ = writeln!(
-            json,
-            "      \"reader_class_p99_us\": {},",
-            out.reader_p99_us
-        );
-        let _ = writeln!(json, "      \"deadlines_met\": {},", out.deadlines_met);
-        let _ = writeln!(
-            json,
-            "      \"deadlines_missed\": {},",
-            out.deadlines_missed
-        );
-        let _ = writeln!(
-            json,
-            "      \"worst_lateness_ms\": {},",
-            out.worst_lateness_ms
-        );
-        let _ = writeln!(json, "      \"aged_grants\": {},", out.aged_grants);
-        let _ = writeln!(json, "      \"backlog_peak\": {},", out.backlog_peak);
-        let _ = writeln!(json, "      \"backlog_series\": [{}],", series.join(", "));
-        let _ = writeln!(json, "      \"fields_written\": {},", out.fields_written);
-        let _ = writeln!(json, "      \"fields_read\": {},", out.fields_read);
-        let _ = writeln!(
-            json,
-            "      \"failed_writes\": {},",
-            out.resilience.failed_writes
-        );
-        let _ = writeln!(
-            json,
-            "      \"failed_reads\": {},",
-            out.resilience.failed_reads
-        );
-        let _ = writeln!(json, "      \"retries\": {}", out.resilience.retries);
-        let _ = writeln!(json, "    }}{comma}");
+        let r = &out.resilience;
+        rows.push(json_object(
+            2,
+            &[
+                ("layout", quoted(out.layout.name())),
+                ("admission", quoted(adm.name())),
+                ("faults", faults.to_string()),
+                ("end_secs", out.end_secs.to_string()),
+                ("writer_p50_us", wp50.to_string()),
+                ("writer_p99_us", wp99.to_string()),
+                ("reader_p50_us", rp50.to_string()),
+                ("reader_p99_us", rp99.to_string()),
+                ("writer_class_p99_us", out.writer_p99_us.to_string()),
+                ("reader_class_p99_us", out.reader_p99_us.to_string()),
+                ("deadlines_met", out.deadlines_met.to_string()),
+                ("deadlines_missed", out.deadlines_missed.to_string()),
+                ("worst_lateness_ms", out.worst_lateness_ms.to_string()),
+                ("aged_grants", out.aged_grants.to_string()),
+                ("backlog_peak", out.backlog_peak.to_string()),
+                ("backlog_series", format!("[{}]", series.join(", "))),
+                ("fields_written", out.fields_written.to_string()),
+                ("fields_read", out.fields_read.to_string()),
+                ("failed_writes", r.failed_writes.to_string()),
+                ("failed_reads", r.failed_reads.to_string()),
+                ("retries", r.retries.to_string()),
+            ],
+        ));
     }
-    let _ = writeln!(json, "  ],");
+    let mut fields = vec![
+        ("experiment", quoted("nwp-cycle")),
+        ("cluster", quoted("tcp(server_nodes=1, client_nodes=2)")),
+        ("writers", cfg.writers.to_string()),
+        ("readers", cfg.readers.to_string()),
+        ("steps", cfg.steps.to_string()),
+        ("fields_per_step", cfg.fields_per_step.to_string()),
+        ("field_bytes", cfg.field_bytes.to_string()),
+        (
+            "step_interval_ms",
+            (cfg.step_interval.as_nanos() / 1_000_000).to_string(),
+        ),
+        ("rows", json_array(1, &rows)),
+    ];
 
-    // The crossover figure: shared-index cost relative to split, clean,
-    // both under FIFO admission (rows 0 and 4 of the axis order).
-    let shared = &results[0].1;
-    let split = &results[4].1;
-    let end_ratio = shared.end_secs / split.end_secs;
-    let (_, shared_p99) = p50_p99(&shared.writer_lat);
-    let (_, split_p99) = p50_p99(&split.writer_lat);
-    let p99_ratio = if split_p99 > 0.0 {
-        shared_p99 / split_p99
-    } else {
-        0.0
-    };
-    let _ = writeln!(json, "  \"crossover\": {{");
-    let _ = writeln!(json, "    \"shared_over_split_end_ratio\": {end_ratio},");
-    let _ = writeln!(
-        json,
-        "    \"shared_over_split_writer_p99_ratio\": {p99_ratio}"
+    let mut note = format!(
+        "{} writers ({} steps x {} fields, deadline = step interval) vs {} readers x {} reads/step",
+        cfg.writers, cfg.steps, cfg.fields_per_step, cfg.readers, cfg.reads_per_step,
     );
-    let _ = writeln!(json, "  }},");
+    // The crossover figure: shared-index cost relative to split, clean,
+    // both under FIFO admission.
+    if let (Some(shared), Some(split)) = (
+        clean(IndexLayout::Shared, AdmissionPolicy::Fifo),
+        clean(IndexLayout::PerProcess, AdmissionPolicy::Fifo),
+    ) {
+        let end_ratio = shared.end_secs / split.end_secs;
+        let (_, shared_p99) = p50_p99(&shared.writer_lat);
+        let (_, split_p99) = p50_p99(&split.writer_lat);
+        let p99_ratio = if split_p99 > 0.0 {
+            shared_p99 / split_p99
+        } else {
+            0.0
+        };
+        let crossover = [
+            ("shared_over_split_end_ratio", end_ratio.to_string()),
+            ("shared_over_split_writer_p99_ratio", p99_ratio.to_string()),
+        ];
+        fields.push(("crossover", json_object(1, &crossover)));
+        let _ = write!(
+            note,
+            "; shared index is {end_ratio:.2}x split on cycle end, {p99_ratio:.2}x on writer p99"
+        );
+    }
 
     // The enforcement figure: what writer-priority admission buys the
-    // saturated shared-index cycle (rows 0 fifo vs 2 writer-priority,
-    // both clean) — and what the readers pay for it. Readers must still
-    // complete every op: barging degrades them, never starves them.
-    let fifo = &results[0].1;
-    let prio = &results[2].1;
-    let reader_ops = (cfg.readers * cfg.steps * cfg.reads_per_step) as u64;
-    let _ = writeln!(json, "  \"enforcement\": {{");
-    let _ = writeln!(json, "    \"layout\": \"{}\",", fifo.layout.name());
-    let _ = writeln!(
-        json,
-        "    \"writer_class_p99_us_fifo\": {},",
-        fifo.writer_p99_us
-    );
-    let _ = writeln!(
-        json,
-        "    \"writer_class_p99_us_writer_priority\": {},",
-        prio.writer_p99_us
-    );
-    let _ = writeln!(
-        json,
-        "    \"deadlines_missed_fifo\": {},",
-        fifo.deadlines_missed
-    );
-    let _ = writeln!(
-        json,
-        "    \"deadlines_missed_writer_priority\": {},",
-        prio.deadlines_missed
-    );
-    let _ = writeln!(
-        json,
-        "    \"reader_class_p99_us_fifo\": {},",
-        fifo.reader_p99_us
-    );
-    let _ = writeln!(
-        json,
-        "    \"reader_class_p99_us_writer_priority\": {},",
-        prio.reader_p99_us
-    );
-    let _ = writeln!(json, "    \"aged_grants\": {},", prio.aged_grants);
-    let _ = writeln!(json, "    \"reader_ops_expected\": {reader_ops},");
-    let _ = writeln!(
-        json,
-        "    \"reader_ops_resolved\": {}",
-        prio.fields_read + prio.resilience.failed_reads
-    );
-    let _ = writeln!(json, "  }}");
-    let _ = writeln!(json, "}}");
+    // saturated shared-index cycle (fifo vs writer-priority, both clean)
+    // — and what the readers pay for it. Readers must still complete
+    // every op: barging degrades them, never starves them.
+    if let (Some(fifo), Some(prio)) = (
+        clean(IndexLayout::Shared, AdmissionPolicy::Fifo),
+        clean(IndexLayout::Shared, AdmissionPolicy::writer_priority()),
+    ) {
+        let reader_ops = cfg.readers as u64 * cfg.steps as u64 * cfg.reads_per_step as u64;
+        let resolved = prio.fields_read + prio.resilience.failed_reads;
+        let enforcement = [
+            ("layout", quoted(fifo.layout.name())),
+            ("writer_class_p99_us_fifo", fifo.writer_p99_us.to_string()),
+            (
+                "writer_class_p99_us_writer_priority",
+                prio.writer_p99_us.to_string(),
+            ),
+            ("deadlines_missed_fifo", fifo.deadlines_missed.to_string()),
+            (
+                "deadlines_missed_writer_priority",
+                prio.deadlines_missed.to_string(),
+            ),
+            ("reader_class_p99_us_fifo", fifo.reader_p99_us.to_string()),
+            (
+                "reader_class_p99_us_writer_priority",
+                prio.reader_p99_us.to_string(),
+            ),
+            ("aged_grants", prio.aged_grants.to_string()),
+            ("reader_ops_expected", reader_ops.to_string()),
+            ("reader_ops_resolved", resolved.to_string()),
+        ];
+        fields.push(("enforcement", json_object(1, &enforcement)));
+        let _ = write!(
+            note,
+            "; writer-priority admission on shared/clean: writer p99 {:.0} -> {:.0} us, \
+             deadlines missed {} -> {}",
+            fifo.writer_p99_us, prio.writer_p99_us, fifo.deadlines_missed, prio.deadlines_missed
+        );
+    }
 
-    rep.note(format!(
-        "{} writers ({} steps x {} fields, deadline = step interval) vs {} readers x {} reads/step; \
-         shared index is {end_ratio:.2}x split on cycle end, {p99_ratio:.2}x on writer p99; \
-         writer-priority admission on shared/clean: writer p99 {:.0} -> {:.0} us, \
-         deadlines missed {} -> {}",
-        cfg.writers, cfg.steps, cfg.fields_per_step, cfg.readers, cfg.reads_per_step,
-        fifo.writer_p99_us, prio.writer_p99_us, fifo.deadlines_missed, prio.deadlines_missed
-    ));
-    rep.artifact("BENCH_nwp_cycle.json", json);
+    rep.note(note);
+    rep.artifact("BENCH_nwp_cycle.json", json_object(0, &fields) + "\n");
     rep
 }
 
@@ -297,7 +349,7 @@ mod tests {
 
     #[test]
     fn reports_every_layout_admission_fault_combination() {
-        let rep = nwp_cycle(&Scale::quick());
+        let rep = run(&Params::at(&Scale::quick()));
         assert_eq!(rep.rows().len(), 8, "2 layouts x 2 admissions x faults");
         assert_eq!(rep.artifacts().len(), 1);
         assert_eq!(rep.artifacts()[0].0, "BENCH_nwp_cycle.json");
@@ -318,7 +370,7 @@ mod tests {
         // writer-priority admission improves the writer class p99 and
         // misses no more deadlines than FIFO, while every reader op
         // still resolves (degraded, not starved).
-        let rep = nwp_cycle(&Scale::quick());
+        let rep = run(&Params::at(&Scale::quick()));
         let rows = rep.rows();
         let (fifo, prio) = (&rows[0], &rows[2]);
         assert_eq!(fifo[0], "shared-index");
@@ -360,8 +412,8 @@ mod tests {
 
     #[test]
     fn cycle_experiment_is_deterministic() {
-        let a = nwp_cycle(&Scale::quick());
-        let b = nwp_cycle(&Scale::quick());
+        let a = run(&Params::at(&Scale::quick()));
+        let b = run(&Params::at(&Scale::quick()));
         assert_eq!(a.render(), b.render());
         assert_eq!(a.artifacts(), b.artifacts());
     }

@@ -13,35 +13,71 @@
 //! migration traffic contends with foreground I/O on the same target
 //! service queues — the *aggregation-induced tail inflation* the
 //! artifact quantifies. Everything is sim-derived and seed-fixed, so
-//! reruns are byte-identical.
-
-use std::fmt::Write as _;
+//! reruns are byte-identical. `xp tiering` flags override the cycle
+//! shape and the tiered rows' media ([`Params`]).
 
 use daosim_cluster::{AggregationConfig, ClusterSpec, NvmeSpec, ScmSpec, TierPolicy};
 use daosim_core::cycle::{run_nwp_cycle, CycleConfig, CycleOutcome, IndexLayout};
 use daosim_kernel::{AdmissionPolicy, SimDuration};
 
-use crate::harness::{parallel_map, Report, Scale};
+use crate::harness::{json_array, json_object, parallel_map, quoted, Report, Scale};
+use crate::nwp_cycle_xp::{cycle_at, p50_p99, set_cycle, validate_cycle};
+use crate::params::{positive, scaled, ArgError, Flags};
 
 const MIB: u64 = 1024 * 1024;
 
-/// Per-socket SCM budget for the tiered rows: 12 MiB per socket = 1 MiB
-/// per target (12 targets/engine), far below the cycle's foreground
-/// volume so the write buffer fills and the watermark machinery runs.
-const TIERED_SCM_PER_SOCKET: u64 = 12 * MIB;
+/// `xp tiering` parameters: the saturated shared-index cycle shape of
+/// `nwp-cycle` plus the tiered rows' media knobs.
+#[derive(Clone, Debug)]
+pub struct Params {
+    /// The cycle shape; every row runs it shared-index under FIFO.
+    pub cycle: CycleConfig,
+    /// Per-socket SCM budget for the tiered rows (`--scm-mib`). 12 MiB
+    /// per socket = 1 MiB per target (12 targets/engine), far below the
+    /// cycle's foreground volume so the write buffer fills and the
+    /// watermark machinery runs.
+    pub scm_per_socket: u64,
+    /// Placement threshold for the tiered rows (`--threshold-kib`): at
+    /// 1 MiB every cycle shard prefers the write buffer (production
+    /// small-I/O behaviour); NVMe fills by spill and by aggregation, not
+    /// by direct placement.
+    pub scm_threshold: u64,
+}
 
-/// Placement threshold for the tiered rows: every cycle shard prefers
-/// the write buffer (production small-I/O behaviour); NVMe fills by
-/// spill and by aggregation, not by direct placement.
-const TIERED_SCM_THRESHOLD: u64 = MIB;
+impl Flags for Params {
+    fn at(scale: &Scale) -> Self {
+        Params {
+            cycle: cycle_at(scale),
+            scm_per_socket: 12 * MIB,
+            scm_threshold: MIB,
+        }
+    }
+
+    fn set(&mut self, flag: &str, value: &str) -> Result<(), ArgError> {
+        match flag {
+            "--scm-mib" => self.scm_per_socket = scaled(flag, value, MIB)?,
+            "--threshold-kib" => self.scm_threshold = scaled(flag, value, 1024)?,
+            _ => set_cycle(&mut self.cycle, flag, value)?,
+        }
+        Ok(())
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        validate_cycle(&self.cycle)?;
+        positive(&[
+            ("--scm-mib", self.scm_per_socket),
+            ("--threshold-kib", self.scm_threshold),
+        ])
+    }
+}
 
 /// The experiment's deployment — same one-server/two-client-node shape
 /// as `nwp-cycle`; the tiered rows swap the media configuration only.
-fn spec(tiered: bool) -> ClusterSpec {
+fn spec(p: &Params, tiered: bool) -> ClusterSpec {
     let mut spec = ClusterSpec::tcp(1, 2);
     if tiered {
         spec.calibration.scm = ScmSpec {
-            capacity: TIERED_SCM_PER_SOCKET,
+            capacity: p.scm_per_socket,
             ..spec.calibration.scm
         };
         // Aggressive watermarks: a single 512 KiB field parks a target
@@ -51,7 +87,7 @@ fn spec(tiered: bool) -> ClusterSpec {
         // migration, which is the regime the experiment measures.
         spec.tiering = TierPolicy {
             nvme: Some(NvmeSpec::p4510_gen1()),
-            scm_threshold: TIERED_SCM_THRESHOLD,
+            scm_threshold: p.scm_threshold,
             high_watermark: 0.30,
             low_watermark: 0.10,
         };
@@ -59,42 +95,21 @@ fn spec(tiered: bool) -> ClusterSpec {
     spec
 }
 
-/// The saturated shared-index cycle shape from `nwp-cycle` (FIFO
-/// admission), with the aggregation service optionally enabled. The
-/// cycle is backlogged — it finishes steps well past the nominal
-/// `steps × interval` — so the aggregation horizon runs 4× that span:
-/// the service must outlive the congested tail of the workload, where
-/// most writes are actually serviced (and most SCM fills happen), and
-/// still leave the simulation quiescent-terminating. Aggregation-on
-/// rows therefore report `end_secs` = the horizon when it exceeds the
-/// workload's own end.
-fn cycle_config(scale: &Scale, aggregation: bool) -> CycleConfig {
-    let mut b = CycleConfig::builder(IndexLayout::Shared)
-        .writers(6)
-        .readers(32)
-        .steps(3)
-        .fields_per_step(3)
-        .field_bytes(512 * 1024)
-        .step_interval(SimDuration::from_millis(16))
-        .write_window(4)
-        .read_window(8)
-        .reads_per_step(8);
-    if scale.ops_per_proc >= 30 {
-        b = b
-            .writers(8)
-            .readers(48)
-            .steps(4)
-            .fields_per_step(4)
-            .step_interval(SimDuration::from_millis(25))
-            .write_window(8);
-    }
-    let cfg = b
-        .admission(AdmissionPolicy::Fifo)
-        .build()
-        .expect("experiment cycle shape is statically nonzero");
+/// The saturated shared-index cycle (FIFO admission), with the
+/// aggregation service optionally enabled. The cycle is backlogged — it
+/// finishes steps well past the nominal `steps × interval` — so the
+/// aggregation horizon runs 4× that span: the service must outlive the
+/// congested tail of the workload, where most writes are actually
+/// serviced (and most SCM fills happen), and still leave the simulation
+/// quiescent-terminating. Aggregation-on rows therefore report
+/// `end_secs` = the horizon when it exceeds the workload's own end.
+fn cycle_config(p: &Params, aggregation: bool) -> CycleConfig {
+    let cfg = p.cycle;
     let horizon =
         SimDuration::from_nanos(cfg.step_interval.as_nanos() * (cfg.steps as u64 + 1) * 4);
     CycleConfig {
+        layout: IndexLayout::Shared,
+        admission: AdmissionPolicy::Fifo,
         aggregation: aggregation.then(|| AggregationConfig::operational(horizon, 0xA66)),
         ..cfg
     }
@@ -115,20 +130,16 @@ fn media_name(tiered: bool) -> &'static str {
     }
 }
 
-fn p50_p99(lat: &Option<daosim_core::metrics::LatencyStats>) -> (f64, f64) {
-    lat.as_ref().map_or((0.0, 0.0), |l| (l.p50_us, l.p99_us))
-}
-
 /// Runs the four grid points and renders the report plus the
 /// `BENCH_tiering.json` artifact.
-pub fn tiering(scale: &Scale) -> Report {
+pub fn run(p: &Params) -> Report {
     let results: Vec<(Config, CycleOutcome)> = parallel_map(configs(), |&(tiered, agg)| {
-        let cfg = cycle_config(scale, agg);
-        let out = run_nwp_cycle(spec(tiered), &cfg, None).expect("valid cycle config");
+        let cfg = cycle_config(p, agg);
+        let out = run_nwp_cycle(spec(p, tiered), &cfg, None).expect("valid cycle config");
         ((tiered, agg), out)
     });
 
-    let cfg = cycle_config(scale, false);
+    let cfg = cycle_config(p, false);
     let mut rep = Report::new(
         "tiering",
         "Extension: two-tier SCM+NVMe media — write-buffer spill and background aggregation under the saturated shared-index cycle",
@@ -144,32 +155,8 @@ pub fn tiering(scale: &Scale) -> Report {
             "secs",
         ],
     );
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"experiment\": \"tiering\",");
-    let _ = writeln!(
-        json,
-        "  \"cluster\": \"tcp(server_nodes=1, client_nodes=2)\","
-    );
-    let _ = writeln!(json, "  \"layout\": \"shared-index\",");
-    let _ = writeln!(json, "  \"admission\": \"fifo\",");
-    let _ = writeln!(json, "  \"writers\": {},", cfg.writers);
-    let _ = writeln!(json, "  \"readers\": {},", cfg.readers);
-    let _ = writeln!(json, "  \"steps\": {},", cfg.steps);
-    let _ = writeln!(json, "  \"fields_per_step\": {},", cfg.fields_per_step);
-    let _ = writeln!(json, "  \"field_bytes\": {},", cfg.field_bytes);
-    let _ = writeln!(
-        json,
-        "  \"step_interval_ms\": {},",
-        cfg.step_interval.as_nanos() / 1_000_000
-    );
-    let _ = writeln!(
-        json,
-        "  \"tiered_scm_per_socket\": {TIERED_SCM_PER_SOCKET},"
-    );
-    let _ = writeln!(json, "  \"tiered_scm_threshold\": {TIERED_SCM_THRESHOLD},");
-    let _ = writeln!(json, "  \"rows\": [");
-    for (i, ((tiered, agg), out)) in results.iter().enumerate() {
+    let mut rows = Vec::new();
+    for ((tiered, agg), out) in &results {
         let (wp50, wp99) = p50_p99(&out.writer_lat);
         let (rp50, rp99) = p50_p99(&out.reader_lat);
         rep.row(vec![
@@ -183,54 +170,31 @@ pub fn tiering(scale: &Scale) -> Report {
             format!("{:.2}", out.aggregated_bytes as f64 / MIB as f64),
             format!("{:.4}", out.end_secs),
         ]);
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"media\": \"{}\",", media_name(*tiered));
-        let _ = writeln!(json, "      \"aggregation\": {agg},");
-        let _ = writeln!(json, "      \"end_secs\": {},", out.end_secs);
-        let _ = writeln!(json, "      \"writer_p50_us\": {wp50},");
-        let _ = writeln!(json, "      \"writer_p99_us\": {wp99},");
-        let _ = writeln!(json, "      \"reader_p50_us\": {rp50},");
-        let _ = writeln!(json, "      \"reader_p99_us\": {rp99},");
-        let _ = writeln!(
-            json,
-            "      \"writer_class_p99_us\": {},",
-            out.writer_p99_us
-        );
-        let _ = writeln!(
-            json,
-            "      \"reader_class_p99_us\": {},",
-            out.reader_p99_us
-        );
-        let _ = writeln!(json, "      \"deadlines_met\": {},", out.deadlines_met);
-        let _ = writeln!(
-            json,
-            "      \"deadlines_missed\": {},",
-            out.deadlines_missed
-        );
-        let _ = writeln!(json, "      \"backlog_peak\": {},", out.backlog_peak);
-        let _ = writeln!(json, "      \"scm_used\": {},", out.scm_used);
-        let _ = writeln!(json, "      \"nvme_used\": {},", out.nvme_used);
-        let _ = writeln!(
-            json,
-            "      \"aggregated_bytes\": {},",
-            out.aggregated_bytes
-        );
-        let _ = writeln!(json, "      \"fields_written\": {},", out.fields_written);
-        let _ = writeln!(json, "      \"fields_read\": {},", out.fields_read);
-        let _ = writeln!(
-            json,
-            "      \"failed_writes\": {},",
-            out.resilience.failed_writes
-        );
-        let _ = writeln!(
-            json,
-            "      \"failed_reads\": {}",
-            out.resilience.failed_reads
-        );
-        let _ = writeln!(json, "    }}{comma}");
+        rows.push(json_object(
+            2,
+            &[
+                ("media", quoted(media_name(*tiered))),
+                ("aggregation", agg.to_string()),
+                ("end_secs", out.end_secs.to_string()),
+                ("writer_p50_us", wp50.to_string()),
+                ("writer_p99_us", wp99.to_string()),
+                ("reader_p50_us", rp50.to_string()),
+                ("reader_p99_us", rp99.to_string()),
+                ("writer_class_p99_us", out.writer_p99_us.to_string()),
+                ("reader_class_p99_us", out.reader_p99_us.to_string()),
+                ("deadlines_met", out.deadlines_met.to_string()),
+                ("deadlines_missed", out.deadlines_missed.to_string()),
+                ("backlog_peak", out.backlog_peak.to_string()),
+                ("scm_used", out.scm_used.to_string()),
+                ("nvme_used", out.nvme_used.to_string()),
+                ("aggregated_bytes", out.aggregated_bytes.to_string()),
+                ("fields_written", out.fields_written.to_string()),
+                ("fields_read", out.fields_read.to_string()),
+                ("failed_writes", out.resilience.failed_writes.to_string()),
+                ("failed_reads", out.resilience.failed_reads.to_string()),
+            ],
+        ));
     }
-    let _ = writeln!(json, "  ],");
 
     // The headline figures. Tier cost: tiered/agg-off vs scm-only (both
     // clean FIFO) — what the shrunken write buffer plus NVMe spill does
@@ -249,28 +213,36 @@ pub fn tiering(scale: &Scale) -> Report {
     let tier_cost = ratio(off_wp99, scm_wp99);
     let w_inflation = ratio(on_wp99, off_wp99);
     let r_inflation = ratio(on_rp99, off_rp99);
-    let _ = writeln!(json, "  \"aggregation_tail\": {{");
-    let _ = writeln!(
-        json,
-        "    \"tiered_over_scm_writer_p99_ratio\": {tier_cost},"
+    let tail = [
+        ("tiered_over_scm_writer_p99_ratio", tier_cost.to_string()),
+        ("agg_on_over_off_writer_p99_ratio", w_inflation.to_string()),
+        ("agg_on_over_off_reader_p99_ratio", r_inflation.to_string()),
+        ("aggregated_bytes", agg_on.aggregated_bytes.to_string()),
+        ("scm_used_agg_on", agg_on.scm_used.to_string()),
+        ("scm_used_agg_off", agg_off.scm_used.to_string()),
+    ];
+    let json = json_object(
+        0,
+        &[
+            ("experiment", quoted("tiering")),
+            ("cluster", quoted("tcp(server_nodes=1, client_nodes=2)")),
+            ("layout", quoted("shared-index")),
+            ("admission", quoted("fifo")),
+            ("writers", cfg.writers.to_string()),
+            ("readers", cfg.readers.to_string()),
+            ("steps", cfg.steps.to_string()),
+            ("fields_per_step", cfg.fields_per_step.to_string()),
+            ("field_bytes", cfg.field_bytes.to_string()),
+            (
+                "step_interval_ms",
+                (cfg.step_interval.as_nanos() / 1_000_000).to_string(),
+            ),
+            ("tiered_scm_per_socket", p.scm_per_socket.to_string()),
+            ("tiered_scm_threshold", p.scm_threshold.to_string()),
+            ("rows", json_array(1, &rows)),
+            ("aggregation_tail", json_object(1, &tail)),
+        ],
     );
-    let _ = writeln!(
-        json,
-        "    \"agg_on_over_off_writer_p99_ratio\": {w_inflation},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"agg_on_over_off_reader_p99_ratio\": {r_inflation},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"aggregated_bytes\": {},",
-        agg_on.aggregated_bytes
-    );
-    let _ = writeln!(json, "    \"scm_used_agg_on\": {},", agg_on.scm_used);
-    let _ = writeln!(json, "    \"scm_used_agg_off\": {}", agg_off.scm_used);
-    let _ = writeln!(json, "  }}");
-    let _ = writeln!(json, "}}");
 
     rep.note(format!(
         "{} writers x {} steps x {} fields ({} KiB) vs {} readers on a {} MiB/socket write buffer; \
@@ -281,10 +253,10 @@ pub fn tiering(scale: &Scale) -> Report {
         cfg.fields_per_step,
         cfg.field_bytes / 1024,
         cfg.readers,
-        TIERED_SCM_PER_SOCKET / MIB,
+        p.scm_per_socket / MIB,
         agg_on.aggregated_bytes as f64 / MIB as f64,
     ));
-    rep.artifact("BENCH_tiering.json", json);
+    rep.artifact("BENCH_tiering.json", json + "\n");
     rep
 }
 
@@ -294,7 +266,7 @@ mod tests {
 
     #[test]
     fn covers_the_media_by_aggregation_grid() {
-        let rep = tiering(&Scale::quick());
+        let rep = run(&Params::at(&Scale::quick()));
         assert_eq!(rep.rows().len(), 4, "2 media x aggregation on/off");
         assert_eq!(rep.artifacts().len(), 1);
         assert_eq!(rep.artifacts()[0].0, "BENCH_tiering.json");
@@ -309,7 +281,7 @@ mod tests {
 
     #[test]
     fn tiered_rows_spill_and_aggregation_migrates() {
-        let rep = tiering(&Scale::quick());
+        let rep = run(&Params::at(&Scale::quick()));
         let rows = rep.rows();
         let mib = |s: &str| s.parse::<f64>().unwrap();
         // The write buffer is sized far below the cycle's foreground
@@ -328,8 +300,8 @@ mod tests {
 
     #[test]
     fn tiering_experiment_is_deterministic() {
-        let a = tiering(&Scale::quick());
-        let b = tiering(&Scale::quick());
+        let a = run(&Params::at(&Scale::quick()));
+        let b = run(&Params::at(&Scale::quick()));
         assert_eq!(a.render(), b.render());
         assert_eq!(a.artifacts(), b.artifacts());
     }

@@ -14,8 +14,6 @@
 
 use std::rc::Rc;
 
-use std::fmt::Write as _;
-
 use daosim_cluster::{ClusterSpec, Deployment, SimClient};
 use daosim_core::fieldio::{FieldIoConfig, FieldStore};
 use daosim_core::key::FieldKey;
@@ -23,7 +21,7 @@ use daosim_core::workload::payload;
 use daosim_kernel::Sim;
 use daosim_net::GIB;
 
-use crate::harness::{gib, parallel_map, Report, Scale};
+use crate::harness::{gib, json_array, json_object, parallel_map, quoted, Report, Scale};
 
 const MIB: u64 = 1024 * 1024;
 
@@ -89,18 +87,8 @@ pub fn window_sweep(scale: &Scale) -> Report {
         "Extension: pipelined field-write throughput vs in-flight window W",
         &["window", "write_GiB/s", "speedup_vs_W1", "secs"],
     );
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"experiment\": \"pipeline-window\",");
-    let _ = writeln!(
-        json,
-        "  \"cluster\": \"tcp(server_nodes=1, client_nodes=2)\","
-    );
-    let _ = writeln!(json, "  \"procs\": {procs},");
-    let _ = writeln!(json, "  \"fields_per_proc\": {fields},");
-    let _ = writeln!(json, "  \"field_bytes\": {field_bytes},");
-    let _ = writeln!(json, "  \"rows\": [");
-    for (i, (w, secs, gib_s)) in results.iter().enumerate() {
+    let mut rows = Vec::new();
+    for (w, secs, gib_s) in &results {
         let speedup = gib_s / base;
         rep.row(vec![
             w.to_string(),
@@ -108,18 +96,25 @@ pub fn window_sweep(scale: &Scale) -> Report {
             format!("{speedup:.2}"),
             format!("{secs:.4}"),
         ]);
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"window\": {w}, \"secs\": {secs}, \"gib_s\": {gib_s}, \"speedup_vs_w1\": {speedup}}}{comma}"
-        );
+        rows.push(format!(
+            "{{\"window\": {w}, \"secs\": {secs}, \"gib_s\": {gib_s}, \"speedup_vs_w1\": {speedup}}}"
+        ));
     }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
+    let json = json_object(
+        0,
+        &[
+            ("experiment", quoted("pipeline-window")),
+            ("cluster", quoted("tcp(server_nodes=1, client_nodes=2)")),
+            ("procs", procs.to_string()),
+            ("fields_per_proc", fields.to_string()),
+            ("field_bytes", field_bytes.to_string()),
+            ("rows", json_array(1, &rows)),
+        ],
+    );
     rep.note(format!(
         "{procs} writer procs x {fields} x 1 MiB fields, Full mode, every W through the pipelined writer"
     ));
-    rep.artifact("BENCH_pipeline.json", json);
+    rep.artifact("BENCH_pipeline.json", json + "\n");
     rep
 }
 

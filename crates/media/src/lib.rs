@@ -118,8 +118,9 @@ impl Default for NvmeSpec {
 }
 
 /// A structurally invalid media configuration, reported at construction
-/// instead of panicking deep inside a deployment (the PR 8 zero-shape
-/// pattern: `daosctl` maps these onto `BadArgs` usage errors).
+/// instead of panicking deep inside a deployment (the zero-shape pattern
+/// of `CycleConfigError`; `xp tiering` rejects zero media flags in its
+/// parameter parser before any spec is built).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum MediaConfigError {
     /// `targets_per_socket` was zero — a socket needs at least one target.

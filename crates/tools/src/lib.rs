@@ -15,22 +15,15 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use daosim_cluster::fuzz::{fuzz_corpus, FuzzReport};
-use daosim_cluster::{
-    AggregationConfig, ClusterSpec, FaultPlan, NvmeSpec, RetryPolicy, ScmSpec, TierPolicy,
-};
-use daosim_core::cycle::{run_nwp_cycle, CycleConfig, CycleOutcome, IndexLayout};
+use daosim_cluster::{ClusterSpec, FaultPlan, RetryPolicy};
 use daosim_core::fieldio::{FieldIoConfig, FieldIoMode, FieldStore};
 use daosim_core::key::FieldKey;
 use daosim_core::metrics::anchored_bandwidth_timeline;
-use daosim_core::obs::{chrome_trace_json, json_is_wellformed, validate_spans};
+use daosim_core::obs::write_chrome_trace;
 use daosim_core::request::{retrieve, Request};
-use daosim_core::trace::{replay, replay_detailed, replay_traced, Pacing, ReplayStats, Trace};
-use daosim_ior::{run_ior, Api, FileMode, IorParams};
-use daosim_kernel::SchedPolicy;
-use daosim_kernel::{AdmissionPolicy, Sim, SimDuration, SimTime};
+use daosim_core::trace::{replay, replay_traced, Pacing, ReplayStats, Trace};
+use daosim_kernel::{Sim, SimDuration, SimTime};
 use daosim_objstore::api::EmbeddedClient;
-use daosim_objstore::array::MAX_READ_LEN;
 use daosim_objstore::{load_pool, save_pool, ObjectClass, Pool, Uuid};
 
 /// Everything a command can report back.
@@ -84,60 +77,6 @@ pub enum Outcome {
         /// `(t_ms, write_gib_s, read_gib_s)` per bucket.
         timeline: Vec<(u64, f64, f64)>,
     },
-    Fuzzed {
-        seeds_run: usize,
-        policies_per_seed: usize,
-        /// Pre-formatted failure reports (empty on a clean corpus).
-        failures: Vec<String>,
-    },
-    Cycled {
-        /// One outcome per (index layout, admission policy) pair, in the
-        /// order requested (layout-major). Each outcome records its own
-        /// layout and admission policy.
-        outcomes: Vec<CycleOutcome>,
-        /// Whether a fault campaign rode on the cycle.
-        faults: bool,
-    },
-    Interfaces {
-        /// One row per swept transfer size, in the order requested.
-        rows: Vec<InterfaceRow>,
-    },
-    Tiered {
-        /// One row per {scm-only, tiered} × {aggregation off, on} grid
-        /// point, media-major.
-        rows: Vec<TieringRow>,
-    },
-}
-
-/// One grid point from [`cmd_tiering`].
-#[derive(Debug)]
-pub struct TieringRow {
-    /// `"scm-only"` or `"tiered"`.
-    pub media: &'static str,
-    /// Whether the background aggregation service ran.
-    pub aggregation: bool,
-    pub outcome: CycleOutcome,
-}
-
-/// One `api=DAOS` vs `api=DFS` comparison point from
-/// [`cmd_ior_interfaces`]. Bandwidths are GiB/s; the overhead ratios
-/// are `daos_bw / dfs_bw` (>= 1 when the namespace costs anything).
-#[derive(Debug, Clone, PartialEq)]
-pub struct InterfaceRow {
-    pub transfer_kib: u64,
-    pub daos_write_bw: f64,
-    pub dfs_write_bw: f64,
-    pub daos_read_bw: f64,
-    pub dfs_read_bw: f64,
-}
-
-impl InterfaceRow {
-    pub fn write_overhead(&self) -> f64 {
-        self.daos_write_bw / self.dfs_write_bw
-    }
-    pub fn read_overhead(&self) -> f64 {
-        self.daos_read_bw / self.dfs_read_bw
-    }
 }
 
 /// Errors from archive commands.
@@ -371,13 +310,14 @@ pub fn cmd_simulate(
     if trace.is_empty() {
         return Err(ToolError::BadArgs("trace holds no operations".into()));
     }
-    let stats = replay(
+    let out = replay(
         ClusterSpec::tcp(servers.max(1), clients.max(1)),
         fieldio_for(mode, window)?,
         &trace,
         if paced { Pacing::Paced } else { Pacing::AsFast },
+        None,
     );
-    Ok(Outcome::Simulated(Box::new(stats)))
+    Ok(Outcome::Simulated(Box::new(out.stats)))
 }
 
 /// `daosctl trace <trace.csv> [--servers N] [--clients N] [--paced]
@@ -412,17 +352,7 @@ pub fn cmd_trace(
         if paced { Pacing::Paced } else { Pacing::AsFast },
         None,
     );
-    let summary = validate_spans(&traced.spans)
-        .map_err(|e| ToolError::BadArgs(format!("recorded trace is malformed: {e}")))?;
-    if summary.unclosed > 0 {
-        return Err(ToolError::BadArgs(format!(
-            "recorded trace left {} span(s) unclosed",
-            summary.unclosed
-        )));
-    }
-    let json = chrome_trace_json(&traced.spans);
-    debug_assert!(json_is_wellformed(&json));
-    fs::write(json_out, &json)?;
+    let summary = write_chrome_trace(&traced.spans, json_out)?;
     fs::write(metrics_out, traced.metrics.to_csv())?;
     Ok(Outcome::Traced {
         json_path: json_out.display().to_string(),
@@ -467,7 +397,7 @@ pub fn cmd_failure_drill(
     let plan = FaultPlan::new()
         .kill_and_rebuild(SimDuration::from_millis(kill_ms), 0)
         .restart(SimDuration::from_millis(restart_ms), 0);
-    let out = replay_detailed(spec, fieldio, &trace, Pacing::Paced, Some(&plan));
+    let out = replay(spec, fieldio, &trace, Pacing::Paced, Some(&plan));
     let bucket = SimDuration::from_millis(50);
     let end = SimTime::from_nanos((out.stats.end_secs * 1e9) as u64);
     let writes = anchored_bandwidth_timeline(&out.write_events, bucket, end);
@@ -481,313 +411,6 @@ pub fn cmd_failure_drill(
         stats: Box::new(out.stats),
         timeline,
     })
-}
-
-/// `daosctl fuzz --seeds N [--start S] [--policy all|lifo|random|wake-delay|fifo]`
-///
-/// Differential schedule-perturbation fuzzing (see
-/// [`daosim_cluster::fuzz`]): every seed in `start..start + seeds` is run
-/// under FIFO (the reference) plus the selected perturbed policies, and
-/// any divergence in per-event outcomes, final pool state, byte
-/// conservation or quiescence is reported with a shrunk repro. Seeds are
-/// fanned out over `jobs` threads; the report order is deterministic, so
-/// reruns of the same corpus print byte-identical output.
-pub fn cmd_fuzz(seeds: u64, start: u64, policy: &str, jobs: usize) -> ToolResult {
-    fn sel_all(_: &SchedPolicy) -> bool {
-        true
-    }
-    fn sel_none(_: &SchedPolicy) -> bool {
-        false
-    }
-    fn sel_lifo(p: &SchedPolicy) -> bool {
-        matches!(p, SchedPolicy::Lifo)
-    }
-    fn sel_random(p: &SchedPolicy) -> bool {
-        matches!(p, SchedPolicy::Random { .. })
-    }
-    fn sel_wake_delay(p: &SchedPolicy) -> bool {
-        matches!(p, SchedPolicy::WakeDelay { .. })
-    }
-    let select: fn(&SchedPolicy) -> bool = match policy {
-        "all" => sel_all,
-        "fifo" => sel_none,
-        "lifo" => sel_lifo,
-        "random" => sel_random,
-        "wake-delay" => sel_wake_delay,
-        other => {
-            return Err(ToolError::BadArgs(format!(
-                "unknown --policy {other} (expected all|fifo|lifo|random|wake-delay)"
-            )))
-        }
-    };
-    if seeds == 0 {
-        return Err(ToolError::BadArgs("--seeds must be positive".into()));
-    }
-
-    let corpus: Vec<u64> = (start..start.saturating_add(seeds)).collect();
-    let jobs = jobs
-        .max(1)
-        .min(corpus.len())
-        .min(std::thread::available_parallelism().map_or(1, |n| n.get()));
-    let per_chunk = corpus.len().div_ceil(jobs);
-    let reports: Vec<FuzzReport> = std::thread::scope(|s| {
-        let handles: Vec<_> = corpus
-            .chunks(per_chunk)
-            .map(|chunk| s.spawn(move || fuzz_corpus(chunk.iter().copied(), select)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fuzz worker panicked"))
-            .collect()
-    });
-
-    let mut seeds_run = 0;
-    let mut policies_per_seed = 0;
-    let mut failures = Vec::new();
-    for r in reports {
-        seeds_run += r.seeds_run;
-        policies_per_seed = policies_per_seed.max(r.policies_per_seed);
-        for f in &r.failures {
-            failures.push(format!(
-                "seed {} diverged under {:?} (admission {}): {}\n  minimized to {} op(s): {:?}\n  repro: {}",
-                f.seed,
-                f.policy,
-                f.admission.name(),
-                f.detail,
-                f.minimized.ops.len(),
-                f.minimized.ops,
-                f.repro()
-            ));
-        }
-    }
-    Ok(Outcome::Fuzzed {
-        seeds_run,
-        policies_per_seed,
-        failures,
-    })
-}
-
-/// `daosctl nwp-cycle [--writers N] [--readers N] [--steps N] [--fields N]
-/// [--kib N] [--interval-ms N] [--layout shared|per-process|both]
-/// [--admission fifo|writer-priority|both] [--seed S] [--faults]`
-///
-/// Runs the operational contention cycle ([`daosim_core::cycle`]) on a
-/// simulated `tcp(1, 2)` cluster: deadline-carrying writers stream
-/// fields each step while a reader fleet fetches the previous step's
-/// fields from the same pool. With `--layout both` the shared-index and
-/// index-per-process runs share every other parameter, so the printed
-/// rows are directly comparable; `--admission both` likewise crosses
-/// FIFO against writer-priority admission at the target queues.
-/// `--faults` seeds a random engine-fault campaign over the first half
-/// of the cycle (with the operational retry policy, so the cycle
-/// degrades instead of failing).
-#[allow(clippy::too_many_arguments)]
-pub fn cmd_nwp_cycle(
-    writers: u32,
-    readers: u32,
-    steps: u32,
-    fields: u32,
-    kib: u64,
-    interval_ms: u64,
-    layout: &str,
-    admission: &str,
-    seed: u64,
-    faults: bool,
-) -> ToolResult {
-    let layouts: Vec<IndexLayout> = match layout {
-        "shared" => vec![IndexLayout::Shared],
-        "per-process" => vec![IndexLayout::PerProcess],
-        "both" => IndexLayout::all().to_vec(),
-        other => {
-            return Err(ToolError::BadArgs(format!(
-                "unknown --layout {other} (expected shared|per-process|both)"
-            )))
-        }
-    };
-    let admissions: Vec<AdmissionPolicy> = match admission {
-        "both" => vec![AdmissionPolicy::Fifo, AdmissionPolicy::writer_priority()],
-        one => match AdmissionPolicy::parse(one) {
-            Some(p) => vec![p],
-            None => {
-                return Err(ToolError::BadArgs(format!(
-                    "unknown --admission {one} (expected fifo|writer-priority|both)"
-                )))
-            }
-        },
-    };
-    let mut outcomes = Vec::with_capacity(layouts.len() * admissions.len());
-    for l in layouts {
-        for &adm in &admissions {
-            // The builder's build() validates the shape: any zero flag
-            // comes back as a typed CycleConfigError instead of a panic
-            // deep inside the cycle.
-            let cfg = CycleConfig::builder(l)
-                .writers(writers)
-                .readers(readers)
-                .steps(steps)
-                .fields_per_step(fields)
-                .field_bytes(kib * 1024)
-                .step_interval(SimDuration::from_millis(interval_ms))
-                .seed(seed)
-                .admission(adm)
-                .build()
-                .map_err(|e| ToolError::BadArgs(e.to_string()))?;
-            let mut spec = ClusterSpec::tcp(1, 2);
-            let plan = faults.then(|| {
-                spec.retry = RetryPolicy::builder().operational().build();
-                let horizon =
-                    SimDuration::from_nanos(cfg.step_interval.as_nanos() * cfg.steps as u64 / 2);
-                FaultPlan::random_campaign(seed, spec.engines(), horizon)
-            });
-            let outcome = run_nwp_cycle(spec, &cfg, plan.as_ref())
-                .map_err(|e| ToolError::BadArgs(e.to_string()))?;
-            outcomes.push(outcome);
-        }
-    }
-    Ok(Outcome::Cycled { outcomes, faults })
-}
-
-/// `daosctl tiering [--writers N] [--readers N] [--steps N] [--fields N]
-/// [--kib N] [--interval-ms N] [--scm-mib N] [--threshold-kib N] [--seed S]`
-///
-/// Runs the shared-index NWP cycle over the {scm-only, tiered} ×
-/// {aggregation off, on} media grid on a simulated `tcp(1, 2)` cluster.
-/// Tiered points shrink the per-socket SCM write buffer to `--scm-mib`
-/// and add the `NvmeSpec::p4510_gen1()` capacity tier (30%/10%
-/// watermarks, placement threshold `--threshold-kib`), so spill and
-/// background aggregation actually engage; scm-only points keep the
-/// paper's NEXTGenIO media. Purely sim-driven and seed-fixed: reruns
-/// print byte-identical output.
-#[allow(clippy::too_many_arguments)]
-pub fn cmd_tiering(
-    writers: u32,
-    readers: u32,
-    steps: u32,
-    fields: u32,
-    kib: u64,
-    interval_ms: u64,
-    scm_mib: u64,
-    threshold_kib: u64,
-    seed: u64,
-) -> ToolResult {
-    if scm_mib == 0 {
-        return Err(ToolError::BadArgs("--scm-mib must be positive".into()));
-    }
-    if threshold_kib == 0 {
-        return Err(ToolError::BadArgs(
-            "--threshold-kib must be positive".into(),
-        ));
-    }
-    let base = CycleConfig::builder(IndexLayout::Shared)
-        .writers(writers)
-        .readers(readers)
-        .steps(steps)
-        .fields_per_step(fields)
-        .field_bytes(kib * 1024)
-        .step_interval(SimDuration::from_millis(interval_ms))
-        .seed(seed)
-        .admission(AdmissionPolicy::Fifo)
-        .build()
-        .map_err(|e| ToolError::BadArgs(e.to_string()))?;
-    // The cycle is backlogged under contention; the aggregation horizon
-    // runs 4x the nominal span so the service outlives the congested
-    // tail where most writes are actually serviced.
-    let horizon =
-        SimDuration::from_nanos(base.step_interval.as_nanos() * (base.steps as u64 + 1) * 4);
-    let mut rows = Vec::with_capacity(4);
-    for tiered in [false, true] {
-        for aggregation in [false, true] {
-            let mut spec = ClusterSpec::tcp(1, 2);
-            if tiered {
-                spec.calibration.scm = ScmSpec {
-                    capacity: scm_mib * 1024 * 1024,
-                    ..spec.calibration.scm
-                };
-                spec.tiering = TierPolicy {
-                    nvme: Some(NvmeSpec::p4510_gen1()),
-                    scm_threshold: threshold_kib * 1024,
-                    high_watermark: 0.30,
-                    low_watermark: 0.10,
-                };
-            }
-            let cfg = CycleConfig {
-                aggregation: aggregation.then(|| AggregationConfig::operational(horizon, seed)),
-                ..base
-            };
-            let outcome =
-                run_nwp_cycle(spec, &cfg, None).map_err(|e| ToolError::BadArgs(e.to_string()))?;
-            rows.push(TieringRow {
-                media: if tiered { "tiered" } else { "scm-only" },
-                aggregation,
-                outcome,
-            });
-        }
-    }
-    Ok(Outcome::Tiered { rows })
-}
-
-/// `daosctl ior-interfaces [--segments N] [--ppn N] [--transfer-kib A,B,...]`
-///
-/// Runs the IOR interface comparison on a simulated `tcp(1, 2)` cluster:
-/// each swept transfer size is written and read twice — once against raw
-/// DAOS Arrays (`api=DAOS`), once through the `daosim-dfs` POSIX
-/// namespace (`api=DFS`) — with every other parameter shared, so the
-/// `daos_bw / dfs_bw` ratio isolates the namespace overhead (dirent
-/// create, path walk, size update per file). Files use the SX class so
-/// both runs share one data-path shape. Purely sim-driven: reruns print
-/// byte-identical output.
-pub fn cmd_ior_interfaces(transfers_kib: &[u64], segments: u32, ppn: u32) -> ToolResult {
-    if transfers_kib.is_empty() {
-        return Err(ToolError::BadArgs("--transfer-kib list is empty".into()));
-    }
-    if let Some(zero) = transfers_kib.iter().find(|&&t| t == 0) {
-        return Err(ToolError::BadArgs(format!(
-            "--transfer-kib {zero} must be positive"
-        )));
-    }
-    if segments == 0 {
-        return Err(ToolError::BadArgs("--segments must be positive".into()));
-    }
-    if ppn == 0 {
-        return Err(ToolError::BadArgs("--ppn must be positive".into()));
-    }
-    // Each process reads its file back with one `array_read`, which
-    // rejects more than `MAX_READ_LEN` bytes.
-    let per_proc = |t: u64| t.checked_mul(1024 * segments as u64);
-    if let Some(t) = transfers_kib
-        .iter()
-        .find(|&&t| per_proc(t).is_none_or(|b| b > MAX_READ_LEN))
-    {
-        return Err(ToolError::BadArgs(format!(
-            "--transfer-kib {t} x --segments {segments} is more than 1 GiB per process"
-        )));
-    }
-    let spec = ClusterSpec::tcp(1, 2);
-    let point = |transfer_kib: u64, api: Api| IorParams {
-        transfer_bytes: transfer_kib * 1024,
-        segments,
-        procs_per_node: ppn,
-        class: ObjectClass::SX,
-        iterations: 1,
-        file_mode: FileMode::FilePerProcess,
-        inflight: 1,
-        api,
-    };
-    let rows = transfers_kib
-        .iter()
-        .map(|&t| {
-            let daos = run_ior(spec, point(t, Api::Daos));
-            let dfs = run_ior(spec, point(t, Api::Dfs));
-            InterfaceRow {
-                transfer_kib: t,
-                daos_write_bw: daos.write_bw(),
-                dfs_write_bw: dfs.write_bw(),
-                daos_read_bw: daos.read_bw(),
-                dfs_read_bw: dfs.read_bw(),
-            }
-        })
-        .collect();
-    Ok(Outcome::Interfaces { rows })
 }
 
 /// `daosctl info <archive>`
@@ -1019,7 +642,7 @@ mod tests {
             "metrics CSV must be byte-identical"
         );
         let text = String::from_utf8(j1).unwrap();
-        assert!(json_is_wellformed(&text));
+        assert!(daosim_core::obs::json_is_wellformed(&text));
         assert!(text.contains("\"ph\":\"X\""));
     }
 
@@ -1079,199 +702,5 @@ mod tests {
             cmd_put(&a.0, "no-equals", vec![]),
             Err(ToolError::BadArgs(_))
         ));
-    }
-
-    #[test]
-    fn nwp_cycle_runs_both_layouts_with_closed_accounting() {
-        let out = cmd_nwp_cycle(2, 4, 2, 2, 64, 40, "both", "fifo", 7, false).unwrap();
-        match out {
-            Outcome::Cycled { outcomes, faults } => {
-                assert!(!faults);
-                assert_eq!(outcomes.len(), 2);
-                for o in &outcomes {
-                    assert_eq!(o.admission, AdmissionPolicy::Fifo);
-                    assert_eq!(o.deadlines_met + o.deadlines_missed, 2 * 2);
-                    assert_eq!(o.fields_written, 2 * 2 * 2);
-                }
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn nwp_cycle_crosses_layouts_with_admission_policies() {
-        let out = cmd_nwp_cycle(2, 4, 2, 2, 64, 40, "both", "both", 7, false).unwrap();
-        match out {
-            Outcome::Cycled { outcomes, .. } => {
-                // Layout-major, admission-minor ordering.
-                let want = [
-                    (IndexLayout::Shared, AdmissionPolicy::Fifo),
-                    (IndexLayout::Shared, AdmissionPolicy::writer_priority()),
-                    (IndexLayout::PerProcess, AdmissionPolicy::Fifo),
-                    (IndexLayout::PerProcess, AdmissionPolicy::writer_priority()),
-                ];
-                assert_eq!(outcomes.len(), want.len());
-                for (o, (layout, adm)) in outcomes.iter().zip(want) {
-                    assert_eq!(o.layout, layout);
-                    assert_eq!(o.admission, adm);
-                    assert_eq!(o.deadlines_met + o.deadlines_missed, 2 * 2);
-                    assert_eq!(o.fields_written, 2 * 2 * 2);
-                }
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn nwp_cycle_rejects_bad_layout_bad_admission_and_zero_shapes() {
-        assert!(matches!(
-            cmd_nwp_cycle(2, 4, 2, 2, 64, 40, "triple", "fifo", 7, false),
-            Err(ToolError::BadArgs(_))
-        ));
-        assert!(matches!(
-            cmd_nwp_cycle(2, 4, 2, 2, 64, 40, "both", "lifo", 7, false),
-            Err(ToolError::BadArgs(_))
-        ));
-        // Every numeric shape flag is validated, not just the fleet.
-        for zeroed in [
-            cmd_nwp_cycle(0, 4, 2, 2, 64, 40, "both", "fifo", 7, false),
-            cmd_nwp_cycle(2, 0, 2, 2, 64, 40, "both", "fifo", 7, false),
-            cmd_nwp_cycle(2, 4, 0, 2, 64, 40, "both", "fifo", 7, false),
-            cmd_nwp_cycle(2, 4, 2, 0, 64, 40, "both", "fifo", 7, false),
-            cmd_nwp_cycle(2, 4, 2, 2, 0, 40, "both", "fifo", 7, false),
-            cmd_nwp_cycle(2, 4, 2, 2, 64, 0, "both", "fifo", 7, false),
-        ] {
-            assert!(matches!(zeroed, Err(ToolError::BadArgs(_))), "{zeroed:?}");
-        }
-    }
-
-    #[test]
-    fn tiering_covers_the_media_grid_with_closed_accounting() {
-        let out = cmd_tiering(2, 4, 2, 3, 512, 16, 12, 1024, 7).unwrap();
-        match out {
-            Outcome::Tiered { rows } => {
-                let want = [
-                    ("scm-only", false),
-                    ("scm-only", true),
-                    ("tiered", false),
-                    ("tiered", true),
-                ];
-                assert_eq!(rows.len(), want.len());
-                for (r, (media, agg)) in rows.iter().zip(want) {
-                    assert_eq!(r.media, media);
-                    assert_eq!(r.aggregation, agg);
-                    assert_eq!(r.outcome.fields_written, 2 * 2 * 3);
-                    assert!(r.outcome.scm_used > 0);
-                }
-                // The paper's SCM-only media never touches a capacity
-                // tier, with or without the (inert) service running.
-                for r in &rows[..2] {
-                    assert_eq!(r.outcome.nvme_used, 0, "{r:?}");
-                    assert_eq!(r.outcome.aggregated_bytes, 0, "{r:?}");
-                }
-                // With the service off nothing migrates; on, it moves
-                // real bytes and leaves the write buffer no fuller.
-                assert_eq!(rows[2].outcome.aggregated_bytes, 0);
-                assert!(rows[3].outcome.aggregated_bytes > 0, "{:?}", rows[3]);
-                assert!(rows[3].outcome.scm_used <= rows[2].outcome.scm_used);
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn tiering_is_deterministic() {
-        let run = || match cmd_tiering(2, 4, 2, 3, 512, 16, 12, 1024, 7).unwrap() {
-            Outcome::Tiered { rows } => rows
-                .into_iter()
-                .map(|r| {
-                    (
-                        r.media,
-                        r.aggregation,
-                        r.outcome.end_secs.to_bits(),
-                        r.outcome.scm_used,
-                        r.outcome.nvme_used,
-                        r.outcome.aggregated_bytes,
-                    )
-                })
-                .collect::<Vec<_>>(),
-            other => panic!("{other:?}"),
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn tiering_rejects_zero_shapes() {
-        // Cycle-shape zeros come back typed from the builder; the
-        // media knobs are validated in the command itself.
-        for zeroed in [
-            cmd_tiering(0, 4, 2, 3, 512, 16, 12, 1024, 7),
-            cmd_tiering(2, 0, 2, 3, 512, 16, 12, 1024, 7),
-            cmd_tiering(2, 4, 0, 3, 512, 16, 12, 1024, 7),
-            cmd_tiering(2, 4, 2, 0, 512, 16, 12, 1024, 7),
-            cmd_tiering(2, 4, 2, 3, 0, 16, 12, 1024, 7),
-            cmd_tiering(2, 4, 2, 3, 512, 0, 12, 1024, 7),
-            cmd_tiering(2, 4, 2, 3, 512, 16, 0, 1024, 7),
-            cmd_tiering(2, 4, 2, 3, 512, 16, 12, 0, 7),
-        ] {
-            assert!(matches!(zeroed, Err(ToolError::BadArgs(_))), "{zeroed:?}");
-        }
-    }
-
-    #[test]
-    fn ior_interfaces_reports_positive_overhead_and_is_deterministic() {
-        let out = cmd_ior_interfaces(&[16, 1024], 2, 2).unwrap();
-        match &out {
-            Outcome::Interfaces { rows } => {
-                assert_eq!(rows.len(), 2);
-                for r in rows {
-                    assert!(r.daos_write_bw > 0.0 && r.dfs_write_bw > 0.0);
-                    // Same data path plus extra dirent traffic: the DFS
-                    // run never beats the raw-array run.
-                    assert!(r.write_overhead() >= 1.0, "{r:?}");
-                    assert!(r.read_overhead() >= 1.0, "{r:?}");
-                }
-                // Small transfers pay more of the namespace tax.
-                assert!(rows[0].write_overhead() > rows[1].write_overhead());
-            }
-            other => panic!("{other:?}"),
-        }
-        let again = cmd_ior_interfaces(&[16, 1024], 2, 2).unwrap();
-        match (out, again) {
-            (Outcome::Interfaces { rows: a }, Outcome::Interfaces { rows: b }) => {
-                assert_eq!(a, b)
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn ior_interfaces_rejects_empty_and_zero_shapes() {
-        for bad in [
-            cmd_ior_interfaces(&[], 2, 2),
-            cmd_ior_interfaces(&[16, 0], 2, 2),
-            cmd_ior_interfaces(&[16], 0, 2),
-            cmd_ior_interfaces(&[16], 2, 0),
-            // More than 1 GiB read back per process, or a u64 overflow.
-            cmd_ior_interfaces(&[16, 1 << 20], 2, 2),
-            cmd_ior_interfaces(&[u64::MAX / 1024], 2, 2),
-        ] {
-            assert!(matches!(bad, Err(ToolError::BadArgs(_))), "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn nwp_cycle_with_faults_still_accounts_every_step() {
-        let out = cmd_nwp_cycle(2, 2, 2, 2, 64, 40, "shared", "writer-priority", 3, true).unwrap();
-        match out {
-            Outcome::Cycled { outcomes, faults } => {
-                assert!(faults);
-                assert_eq!(outcomes.len(), 1);
-                let o = &outcomes[0];
-                assert_eq!(o.admission, AdmissionPolicy::writer_priority());
-                assert_eq!(o.deadlines_met + o.deadlines_missed, 2 * 2);
-            }
-            other => panic!("{other:?}"),
-        }
     }
 }

@@ -13,9 +13,8 @@ use std::path::PathBuf;
 use std::process::exit;
 
 use daosim_tools::{
-    cmd_failure_drill, cmd_fuzz, cmd_get, cmd_info, cmd_init, cmd_ior_interfaces, cmd_list,
-    cmd_nwp_cycle, cmd_put, cmd_retrieve, cmd_simulate, cmd_synth_trace, cmd_tiering, cmd_trace,
-    cmd_wipe, Outcome,
+    cmd_failure_drill, cmd_get, cmd_info, cmd_init, cmd_list, cmd_put, cmd_retrieve, cmd_simulate,
+    cmd_synth_trace, cmd_trace, cmd_wipe, Outcome,
 };
 
 fn usage() -> ! {
@@ -33,13 +32,9 @@ fn usage() -> ! {
          simulate    <trace.csv> [--servers N] [--clients N] [--paced] [--mode full|no-containers|no-index] [--window W]\n\
          trace       <trace.csv> [--servers N] [--clients N] [--paced] [--mode M] [--window W] [--out trace.json] [--metrics metrics.csv]\n\
          failure-drill <trace.csv> [--servers N] [--clients N] [--kill-ms N] [--restart-ms N]\n\
-         fuzz        [--seeds N] [--start S] [--policy all|fifo|lifo|random|wake-delay] [--jobs N]\n\
-         nwp-cycle   [--writers N] [--readers N] [--steps N] [--fields N] [--kib N]\n\
-                     [--interval-ms N] [--layout shared|per-process|both]\n\
-                     [--admission fifo|writer-priority|both] [--seed S] [--faults]\n\
-         ior-interfaces [--segments N] [--ppn N] [--transfer-kib A,B,...]\n\
-         tiering     [--writers N] [--readers N] [--steps N] [--fields N] [--kib N]\n\
-                     [--interval-ms N] [--scm-mib N] [--threshold-kib N] [--seed S]"
+         \n\
+         The simulator experiments (nwp-cycle, tiering, ior-interfaces, sched-fuzz)\n\
+         run through `xp <experiment> [flags]`."
     );
     exit(2);
 }
@@ -59,223 +54,6 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> 
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `fuzz` takes no archive argument; handle it before the archive parse.
-    if args.first().map(String::as_str) == Some("fuzz") {
-        let rest = &args[1..];
-        let policy = flag_value(rest, "--policy").unwrap_or_else(|| "all".to_string());
-        let result = cmd_fuzz(
-            parse_flag(rest, "--seeds", 64),
-            parse_flag(rest, "--start", 0),
-            &policy,
-            parse_flag::<usize>(rest, "--jobs", 8),
-        );
-        match result {
-            Ok(Outcome::Fuzzed {
-                seeds_run,
-                policies_per_seed,
-                failures,
-            }) => {
-                for f in &failures {
-                    eprintln!("FAIL: {f}");
-                }
-                println!(
-                    "fuzzed {seeds_run} seed(s) x {policies_per_seed} policies: {}",
-                    if failures.is_empty() {
-                        "schedule-invariant".to_string()
-                    } else {
-                        format!("{} divergence(s)", failures.len())
-                    }
-                );
-                exit(if failures.is_empty() { 0 } else { 1 });
-            }
-            Ok(_) => unreachable!("cmd_fuzz returns Outcome::Fuzzed"),
-            Err(e) => {
-                eprintln!("daosctl: {e}");
-                exit(1);
-            }
-        }
-    }
-    // `nwp-cycle` also takes no archive: it runs purely in the simulator.
-    if args.first().map(String::as_str) == Some("nwp-cycle") {
-        let rest = &args[1..];
-        let layout = flag_value(rest, "--layout").unwrap_or_else(|| "both".to_string());
-        let admission = flag_value(rest, "--admission").unwrap_or_else(|| "fifo".to_string());
-        let result = cmd_nwp_cycle(
-            parse_flag(rest, "--writers", 4u32),
-            parse_flag(rest, "--readers", 8u32),
-            parse_flag(rest, "--steps", 2u32),
-            parse_flag(rest, "--fields", 3u32),
-            parse_flag(rest, "--kib", 256),
-            parse_flag(rest, "--interval-ms", 40),
-            &layout,
-            &admission,
-            parse_flag(rest, "--seed", 7),
-            rest.iter().any(|a| a == "--faults"),
-        );
-        match result {
-            Ok(Outcome::Cycled { outcomes, faults }) => {
-                println!(
-                    "{:<18} {:<15} {:>4} {:>6} {:>13} {:>13} {:>13} {:>11} {:>12} {:>8}",
-                    "layout",
-                    "admission",
-                    "met",
-                    "missed",
-                    "worst-late-ms",
-                    "writer-p99-us",
-                    "reader-p99-us",
-                    "aged-grants",
-                    "backlog-peak",
-                    "secs"
-                );
-                for o in &outcomes {
-                    println!(
-                        "{:<18} {:<15} {:>4} {:>6} {:>13.2} {:>13.1} {:>13.1} {:>11} {:>12} {:>8.4}",
-                        o.layout.name(),
-                        o.admission.name(),
-                        o.deadlines_met,
-                        o.deadlines_missed,
-                        o.worst_lateness_ms,
-                        o.writer_p99_us,
-                        o.reader_p99_us,
-                        o.aged_grants,
-                        o.backlog_peak,
-                        o.end_secs
-                    );
-                }
-                if faults {
-                    for o in &outcomes {
-                        let r = &o.resilience;
-                        println!(
-                            "{} ({}): {} retries, {} timeouts, {} failovers, {} gave up, \
-                             {} faults injected; failed ops: {} writes, {} reads",
-                            o.layout.name(),
-                            o.admission.name(),
-                            r.retries,
-                            r.timeouts,
-                            r.failovers,
-                            r.gave_up,
-                            r.faults_injected,
-                            r.failed_writes,
-                            r.failed_reads
-                        );
-                    }
-                }
-                exit(0);
-            }
-            Ok(_) => unreachable!("cmd_nwp_cycle returns Outcome::Cycled"),
-            Err(e) => {
-                eprintln!("daosctl: {e}");
-                exit(1);
-            }
-        }
-    }
-    // `tiering` also takes no archive: it sweeps the two-tier media grid
-    // on the simulated cluster.
-    if args.first().map(String::as_str) == Some("tiering") {
-        let rest = &args[1..];
-        let result = cmd_tiering(
-            parse_flag(rest, "--writers", 4u32),
-            parse_flag(rest, "--readers", 8u32),
-            parse_flag(rest, "--steps", 2u32),
-            parse_flag(rest, "--fields", 3u32),
-            parse_flag(rest, "--kib", 512),
-            parse_flag(rest, "--interval-ms", 16),
-            parse_flag(rest, "--scm-mib", 12),
-            parse_flag(rest, "--threshold-kib", 1024),
-            parse_flag(rest, "--seed", 7),
-        );
-        match result {
-            Ok(Outcome::Tiered { rows }) => {
-                println!(
-                    "{:<9} {:<11} {:>13} {:>13} {:>6} {:>12} {:>13} {:>14} {:>8}",
-                    "media",
-                    "aggregation",
-                    "writer-p99-us",
-                    "reader-p99-us",
-                    "missed",
-                    "scm-used-kib",
-                    "nvme-used-kib",
-                    "aggregated-kib",
-                    "secs"
-                );
-                for r in &rows {
-                    let o = &r.outcome;
-                    println!(
-                        "{:<9} {:<11} {:>13.1} {:>13.1} {:>6} {:>12} {:>13} {:>14} {:>8.4}",
-                        r.media,
-                        r.aggregation,
-                        o.writer_p99_us,
-                        o.reader_p99_us,
-                        o.deadlines_missed,
-                        o.scm_used / 1024,
-                        o.nvme_used / 1024,
-                        o.aggregated_bytes / 1024,
-                        o.end_secs
-                    );
-                }
-                exit(0);
-            }
-            Ok(_) => unreachable!("cmd_tiering returns Outcome::Tiered"),
-            Err(e) => {
-                eprintln!("daosctl: {e}");
-                exit(1);
-            }
-        }
-    }
-    // `ior-interfaces` also takes no archive: it compares the two IOR
-    // APIs (raw DAOS vs the DFS namespace) on the simulated cluster.
-    if args.first().map(String::as_str) == Some("ior-interfaces") {
-        let rest = &args[1..];
-        let transfers: Vec<u64> = match flag_value(rest, "--transfer-kib") {
-            Some(list) => list
-                .split(',')
-                .map(|t| {
-                    t.trim().parse().unwrap_or_else(|_| {
-                        eprintln!("daosctl: bad value for --transfer-kib: {t:?}");
-                        usage()
-                    })
-                })
-                .collect(),
-            None => vec![16, 64, 256, 1024, 4096],
-        };
-        let result = cmd_ior_interfaces(
-            &transfers,
-            parse_flag(rest, "--segments", 4u32),
-            parse_flag(rest, "--ppn", 4u32),
-        );
-        match result {
-            Ok(Outcome::Interfaces { rows }) => {
-                println!(
-                    "{:>12} {:>12} {:>11} {:>14} {:>11} {:>10} {:>13}",
-                    "transfer-KiB",
-                    "daos-w-GiB/s",
-                    "dfs-w-GiB/s",
-                    "write-overhead",
-                    "daos-r-GiB/s",
-                    "dfs-r-GiB/s",
-                    "read-overhead"
-                );
-                for r in &rows {
-                    println!(
-                        "{:>12} {:>12.2} {:>11.2} {:>14.3} {:>11.2} {:>10.2} {:>13.3}",
-                        r.transfer_kib,
-                        r.daos_write_bw,
-                        r.dfs_write_bw,
-                        r.write_overhead(),
-                        r.daos_read_bw,
-                        r.dfs_read_bw,
-                        r.read_overhead()
-                    );
-                }
-                exit(0);
-            }
-            Ok(_) => unreachable!("cmd_ior_interfaces returns Outcome::Interfaces"),
-            Err(e) => {
-                eprintln!("daosctl: {e}");
-                exit(1);
-            }
-        }
-    }
     if args.len() < 2 {
         usage();
     }
@@ -458,16 +236,6 @@ fn main() {
             println!("arrays:      {arrays} ({array_bytes} live bytes)");
             println!("index keys:  {kv_entries}");
             println!("used bytes:  {used}");
-        }
-        Ok(Outcome::Fuzzed { .. }) => unreachable!("fuzz is handled before the archive parse"),
-        Ok(Outcome::Cycled { .. }) => {
-            unreachable!("nwp-cycle is handled before the archive parse")
-        }
-        Ok(Outcome::Interfaces { .. }) => {
-            unreachable!("ior-interfaces is handled before the archive parse")
-        }
-        Ok(Outcome::Tiered { .. }) => {
-            unreachable!("tiering is handled before the archive parse")
         }
         Err(e) => {
             eprintln!("daosctl: {e}");

@@ -50,7 +50,9 @@ fn main() {
                 .build(),
             &trace,
             Pacing::Paced,
-        );
+            None,
+        )
+        .stats;
         println!(
             "{:<22} {:>10.2} {:>10.2} {:>12.2} {:>12.2}",
             label,
@@ -74,7 +76,9 @@ fn main() {
             .build(),
         &trace,
         Pacing::AsFast,
-    );
+        None,
+    )
+    .stats;
     println!(
         "\nas-fast replay on 2 servers: {:.2} GiB/s write, {:.2} GiB/s read \
          ({:.0} ms total vs the 1000 ms window)",

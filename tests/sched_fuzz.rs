@@ -7,7 +7,7 @@
 //! *schedule-invariant*: same per-event outcomes, same final pool state,
 //! same byte totals, quiescence under every policy. These properties
 //! drive the promise with proptest-chosen seeds through the same
-//! differential harness `daosctl fuzz` uses, and pin the FIFO default to
+//! differential harness `xp sched-fuzz` uses, and pin the FIFO default to
 //! the checked-in paper artifact byte for byte.
 
 use daosim::cluster::fuzz::{generate_program, policy_roster, run_program};
