@@ -154,44 +154,21 @@ pub fn single_iteration_wallclock(events: &[EventRecord], iteration: u32) -> Opt
     (end >= start).then(|| SimDuration::from_nanos(end - start))
 }
 
-/// Synchronous bandwidth (Eq. 1) with fault accounting: iterations cut
-/// short by a fault (no `IoEnd`, or a degenerate zero-length window) are
-/// excluded from the average and counted instead of poisoning the whole
-/// run.
-#[derive(Clone, Copy, Debug, Default, Serialize)]
-pub struct SynchronousBandwidth {
-    /// Mean per-iteration aggregate bandwidth over *complete* iterations,
-    /// GiB/s; `None` when no iteration completed.
-    pub gib_s: Option<f64>,
-    /// Iterations that contributed to the mean.
-    pub complete_iterations: usize,
-    /// Iterations skipped: missing `IoStart`/`IoEnd` (e.g. every I/O of
-    /// the iteration was interrupted by a fault) or zero wall-clock.
-    pub dropped_iterations: usize,
-}
-
 /// Synchronous bandwidth (Eq. 1): per-iteration aggregate bandwidth,
-/// averaged over complete iterations. GiB/s. See
-/// [`synchronous_bandwidth_detailed`] for the dropped-iteration count.
+/// averaged over complete iterations. GiB/s. Iterations cut short by a
+/// fault (no `IoStart`/`IoEnd`, or a zero-length window) are left out of
+/// the average instead of poisoning the whole run; `None` when no
+/// iteration completed.
 pub fn synchronous_bandwidth(events: &[EventRecord]) -> Option<f64> {
-    synchronous_bandwidth_detailed(events).gib_s
-}
-
-/// The computation behind [`synchronous_bandwidth`], exposing how many
-/// iterations were dropped as incomplete.
-pub fn synchronous_bandwidth_detailed(events: &[EventRecord]) -> SynchronousBandwidth {
     let mut iters: Vec<u32> = events.iter().map(|e| e.iteration).collect();
     iters.sort_unstable();
     iters.dedup();
-    let mut out = SynchronousBandwidth::default();
+    let mut complete = 0usize;
     let mut acc = 0.0;
     for it in &iters {
         let wall = match single_iteration_wallclock(events, *it) {
             Some(w) if w > SimDuration::ZERO => w,
-            _ => {
-                out.dropped_iterations += 1;
-                continue;
-            }
+            _ => continue,
         };
         let bytes: u64 = events
             .iter()
@@ -199,12 +176,9 @@ pub fn synchronous_bandwidth_detailed(events: &[EventRecord]) -> SynchronousBand
             .map(|e| e.bytes)
             .sum();
         acc += bytes as f64 / GIB / wall.as_secs_f64();
-        out.complete_iterations += 1;
+        complete += 1;
     }
-    if out.complete_iterations > 0 {
-        out.gib_s = Some(acc / out.complete_iterations as f64);
-    }
-    out
+    (complete > 0).then(|| acc / complete as f64)
 }
 
 /// Global timing bandwidth (Eq. 2). GiB/s.
@@ -301,54 +275,12 @@ pub struct TimelineBucket {
 
 /// Buckets completed bytes over time — the ramp-up/straggler view a
 /// single bandwidth number hides. Bytes are attributed to the bucket
-/// containing each operation's `IoEnd`. Buckets are anchored at the
-/// earliest event of *any* kind (an `IoEnd` can precede the first
-/// `IoStart` when operations carry over from an earlier phase) and span
-/// through the last `IoEnd`; empty buckets are included so gaps are
-/// visible.
-pub fn bandwidth_timeline(events: &[EventRecord], bucket: SimDuration) -> Vec<TimelineBucket> {
-    assert!(bucket > SimDuration::ZERO, "bucket must be positive");
-    if total_parallel_io_wallclock(events).is_none() {
-        return Vec::new();
-    }
-    // Anchoring at min IoStart would underflow the bucket index of any
-    // completion that lands before it; the min over all events is a safe
-    // lower bound for every attribution.
-    let start = events
-        .iter()
-        .map(|e| e.t_ns)
-        .min()
-        .expect("wallclock implies events");
-    let end = events
-        .iter()
-        .filter(|e| e.kind == EventKind::IoEnd)
-        .map(|e| e.t_ns)
-        .max()
-        .expect("wallclock implies an end");
-    let step = bucket.as_nanos();
-    let n = ((end - start) / step + 1) as usize;
-    let mut buckets = vec![0u64; n];
-    for e in events.iter().filter(|e| e.kind == EventKind::IoEnd) {
-        let idx = ((e.t_ns.saturating_sub(start)) / step) as usize;
-        buckets[idx.min(n - 1)] += e.bytes;
-    }
-    let secs = bucket.as_secs_f64();
-    buckets
-        .into_iter()
-        .enumerate()
-        .map(|(i, bytes)| TimelineBucket {
-            t_ns: start + i as u64 * step,
-            bytes,
-            bw_gib: bytes as f64 / GIB / secs,
-        })
-        .collect()
-}
-
-/// Like [`bandwidth_timeline`], but with buckets anchored at t=0 and
-/// spanning `[0, end)`, so timelines built from different event streams
-/// of the same run (e.g. writes and reads of a replay) line up row for
-/// row. Completions at or past `end` land in the final bucket.
-pub fn anchored_bandwidth_timeline(
+/// containing each operation's `IoEnd`. Buckets are anchored at t=0 and
+/// span `[0, end)`, so timelines built from different event streams of
+/// the same run (e.g. writes and reads of a replay) line up row for row;
+/// empty buckets are included so gaps are visible. Completions at or
+/// past `end` land in the final bucket.
+pub fn bandwidth_timeline(
     events: &[EventRecord],
     bucket: SimDuration,
     end: SimTime,
@@ -623,17 +555,11 @@ mod tests {
             ev(0, 0, EventKind::IoEnd, 1_000_000_000, G),
             ev(0, 1, EventKind::IoStart, 2_000_000_000, 0),
         ];
-        let d = synchronous_bandwidth_detailed(&events);
-        assert_eq!(d.complete_iterations, 1);
-        assert_eq!(d.dropped_iterations, 1);
-        let bw = d.gib_s.expect("the surviving iteration still reports");
+        let bw = synchronous_bandwidth(&events).expect("the surviving iteration still reports");
         assert!((bw - 1.0).abs() < 1e-12, "got {bw}");
-        assert_eq!(synchronous_bandwidth(&events), d.gib_s);
         // With every iteration interrupted there is nothing to average.
         let all_lost = vec![ev(0, 0, EventKind::IoStart, 0, 0)];
-        let d = synchronous_bandwidth_detailed(&all_lost);
-        assert_eq!(d.gib_s, None);
-        assert_eq!(d.dropped_iterations, 1);
+        assert_eq!(synchronous_bandwidth(&all_lost), None);
     }
 
     #[test]
@@ -645,7 +571,8 @@ mod tests {
             ev(1, 0, EventKind::IoStart, 0, 0),
             ev(1, 0, EventKind::IoEnd, 2_500_000_000, G),
         ];
-        let tl = bandwidth_timeline(&events, SimDuration::from_secs(1));
+        let end = SimTime::from_nanos(2_500_000_000);
+        let tl = bandwidth_timeline(&events, SimDuration::from_secs(1), end);
         assert_eq!(tl.len(), 3);
         assert_eq!(tl[0].bytes, G);
         assert_eq!(tl[1].bytes, 0, "idle middle bucket must be visible");
@@ -656,25 +583,18 @@ mod tests {
     }
 
     #[test]
-    fn timeline_of_empty_events_is_empty() {
-        assert!(bandwidth_timeline(&[], SimDuration::from_secs(1)).is_empty());
-    }
-
-    #[test]
     fn timeline_survives_completion_before_first_start() {
         const G: u64 = 1 << 30;
-        // Regression: an IoEnd carried over from an earlier phase lands
-        // *before* the first IoStart. The old code anchored buckets at
-        // min IoStart and computed `e.t_ns - start`, underflowing u64 and
-        // panicking (or indexing far out of range).
+        // An IoEnd carried over from an earlier phase lands *before* the
+        // first IoStart; it must still be attributed, not dropped.
         let events = vec![
             ev(0, 0, EventKind::IoEnd, 5, G),
             ev(1, 0, EventKind::IoStart, 1_000_000_000, 0),
             ev(1, 0, EventKind::IoEnd, 2_500_000_000, G),
         ];
-        let tl = bandwidth_timeline(&events, SimDuration::from_secs(1));
-        // Anchored at t=5 ns, spanning through the last IoEnd.
-        assert_eq!(tl[0].t_ns, 5);
+        let end = SimTime::from_nanos(2_500_000_000);
+        let tl = bandwidth_timeline(&events, SimDuration::from_secs(1), end);
+        assert_eq!(tl[0].t_ns, 0);
         assert_eq!(tl.len(), 3);
         let total: u64 = tl.iter().map(|b| b.bytes).sum();
         assert_eq!(total, 2 * G, "no completion may be dropped");
@@ -696,8 +616,8 @@ mod tests {
             ev(0, 1, EventKind::IoEnd, 2_500_000_000, G),
         ];
         let end = SimTime::from_nanos(3_000_000_000);
-        let w = anchored_bandwidth_timeline(&writes, SimDuration::from_secs(1), end);
-        let r = anchored_bandwidth_timeline(&reads, SimDuration::from_secs(1), end);
+        let w = bandwidth_timeline(&writes, SimDuration::from_secs(1), end);
+        let r = bandwidth_timeline(&reads, SimDuration::from_secs(1), end);
         assert_eq!(w.len(), 3);
         assert_eq!(r.len(), 3);
         assert_eq!((w[0].t_ns, r[0].t_ns), (0, 0));
@@ -705,29 +625,8 @@ mod tests {
         assert_eq!(r.iter().map(|b| b.bytes).collect::<Vec<_>>(), [0, 0, G]);
         // Completions past `end` land in the last bucket, not out of range.
         let late = vec![ev(0, 2, EventKind::IoEnd, 9_000_000_000, G)];
-        let l = anchored_bandwidth_timeline(&late, SimDuration::from_secs(1), end);
+        let l = bandwidth_timeline(&late, SimDuration::from_secs(1), end);
         assert_eq!(l[2].bytes, G);
-    }
-
-    #[test]
-    fn timeline_event_exactly_on_window_end_lands_in_last_bucket() {
-        const G: u64 = 1 << 30;
-        // Boundary audit: the phase spans an exact multiple of the bucket
-        // width and the final completion sits exactly on the window end,
-        // so its raw index is the last valid bucket (and must stay there
-        // — an unclamped off-by-one here indexes out of range).
-        let events = vec![
-            ev(0, 0, EventKind::IoStart, 0, 0),
-            ev(0, 0, EventKind::IoEnd, 1_000_000_000, G),
-            ev(1, 0, EventKind::IoStart, 0, 0),
-            ev(1, 0, EventKind::IoEnd, 3_000_000_000, G),
-        ];
-        let tl = bandwidth_timeline(&events, SimDuration::from_secs(1));
-        assert_eq!(tl.len(), 4, "window end starts its own bucket");
-        assert_eq!(tl[3].t_ns, 3_000_000_000);
-        assert_eq!(tl[3].bytes, G, "boundary completion kept, not dropped");
-        let total: u64 = tl.iter().map(|b| b.bytes).sum();
-        assert_eq!(total, 2 * G);
     }
 
     #[test]
@@ -742,7 +641,7 @@ mod tests {
             ev(0, 0, EventKind::IoStart, 0, 0),
             ev(0, 0, EventKind::IoEnd, 3_000_000_000, G),
         ];
-        let tl = anchored_bandwidth_timeline(&events, SimDuration::from_secs(1), end);
+        let tl = bandwidth_timeline(&events, SimDuration::from_secs(1), end);
         assert_eq!(tl.len(), 3, "an exactly-divisible end adds no bucket");
         assert_eq!(tl[2].bytes, G, "boundary completion clamps into range");
         // Interior boundaries follow the same half-open convention: an
@@ -751,7 +650,7 @@ mod tests {
             ev(0, 0, EventKind::IoStart, 0, 0),
             ev(0, 0, EventKind::IoEnd, 1_000_000_000, G),
         ];
-        let tl = anchored_bandwidth_timeline(&edge, SimDuration::from_secs(1), end);
+        let tl = bandwidth_timeline(&edge, SimDuration::from_secs(1), end);
         assert_eq!(
             tl.iter().map(|b| b.bytes).collect::<Vec<_>>(),
             [0, G, 0],

@@ -1,13 +1,13 @@
 //! Property-based tests of keys, index entries, metric definitions,
-//! trace CSV round-trips, timeline builders and span-tree invariants.
+//! trace CSV round-trips, the timeline builder and span-tree invariants.
 
 use std::collections::BTreeMap;
 
 use daosim_core::fieldio::IndexEntry;
 use daosim_core::key::{FieldKey, KeySchema};
 use daosim_core::metrics::{
-    anchored_bandwidth_timeline, bandwidth_timeline, events_to_csv, global_timing_bandwidth,
-    synchronous_bandwidth, total_parallel_io_wallclock, EventKind, EventRecord,
+    bandwidth_timeline, events_to_csv, global_timing_bandwidth, synchronous_bandwidth,
+    total_parallel_io_wallclock, EventKind, EventRecord,
 };
 use daosim_core::obs::{chrome_trace_json, json_is_wellformed, validate_spans, Obs, SpanEvent};
 use daosim_core::trace::{Trace, TraceEntry};
@@ -365,13 +365,12 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Timeline builders under adversarial event orderings
+// The timeline builder under adversarial event orderings
 // ---------------------------------------------------------------------------
 
 /// Unconstrained event soups: starts and ends in any order, including
 /// completions before the first start (carry-over from an earlier
-/// phase) — the shape that underflowed `bandwidth_timeline` before it
-/// anchored at the minimum over all events.
+/// phase).
 fn adversarial_events() -> impl Strategy<Value = Vec<EventRecord>> {
     proptest::collection::vec((any::<bool>(), 0u64..2_000_000_000, 0u64..1_000_000), 1..40)
         .prop_map(|rows| {
@@ -395,37 +394,6 @@ fn adversarial_events() -> impl Strategy<Value = Vec<EventRecord>> {
 
 proptest! {
     #[test]
-    fn bandwidth_timeline_never_panics_and_conserves_bytes(
-        events in adversarial_events(),
-        bucket_ms in 1u64..500,
-    ) {
-        let bucket = SimDuration::from_millis(bucket_ms);
-        let timeline = bandwidth_timeline(&events, bucket);
-        let total: u64 = events
-            .iter()
-            .filter(|e| e.kind == EventKind::IoEnd)
-            .map(|e| e.bytes)
-            .sum();
-        if timeline.is_empty() {
-            prop_assert!(total_parallel_io_wallclock(&events).is_none());
-        } else {
-            prop_assert_eq!(timeline.iter().map(|b| b.bytes).sum::<u64>(), total);
-            for w in timeline.windows(2) {
-                prop_assert_eq!(w[1].t_ns - w[0].t_ns, bucket.as_nanos());
-            }
-            // Every completion is covered by the bucket range.
-            let last = timeline.last().unwrap().t_ns;
-            let max_end = events
-                .iter()
-                .filter(|e| e.kind == EventKind::IoEnd)
-                .map(|e| e.t_ns)
-                .max()
-                .unwrap();
-            prop_assert!(timeline[0].t_ns <= max_end && max_end < last + bucket.as_nanos());
-        }
-    }
-
-    #[test]
     fn anchored_timeline_never_panics_and_conserves_bytes(
         events in adversarial_events(),
         bucket_ms in 1u64..500,
@@ -433,7 +401,7 @@ proptest! {
     ) {
         let bucket = SimDuration::from_millis(bucket_ms);
         let end = SimTime::from_nanos(end_ms * 1_000_000);
-        let timeline = anchored_bandwidth_timeline(&events, bucket, end);
+        let timeline = bandwidth_timeline(&events, bucket, end);
         let total: u64 = events
             .iter()
             .filter(|e| e.kind == EventKind::IoEnd)

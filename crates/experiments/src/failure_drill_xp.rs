@@ -18,7 +18,7 @@
 
 use daosim_cluster::{ClusterSpec, FaultPlan, RetryPolicy};
 use daosim_core::fieldio::FieldIoConfig;
-use daosim_core::metrics::anchored_bandwidth_timeline;
+use daosim_core::metrics::bandwidth_timeline;
 use daosim_core::trace::{replay, Pacing, ReplayOutcome, Trace};
 use daosim_kernel::{SimDuration, SimTime};
 use daosim_objstore::ObjectClass;
@@ -114,8 +114,8 @@ pub fn failure_drill(scale: &Scale) -> Report {
 
     let bucket = SimDuration::from_millis(30);
     let end = SimTime::from_nanos((stats.end_secs * 1e9) as u64);
-    let writes = anchored_bandwidth_timeline(&out.write_events, bucket, end);
-    let reads = anchored_bandwidth_timeline(&out.read_events, bucket, end);
+    let writes = bandwidth_timeline(&out.write_events, bucket, end);
+    let reads = bandwidth_timeline(&out.read_events, bucket, end);
 
     let mut rep = Report::new(
         "failure-drill",

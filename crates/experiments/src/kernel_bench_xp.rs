@@ -9,14 +9,13 @@
 //! (4) an end-to-end IOR run with 100k simulated client processes —
 //! the scale demonstration the tentpole names.
 //!
-//! All `ns_per_event` figures are **wall-clock** (like
-//! `BENCH_net.json`), so `results/BENCH_kernel.json` tracks the kernel
-//! trajectory but is *not* byte-compared by CI. The IOR rows' simulated
-//! bandwidths are deterministic, and are emitted separately as
-//! `kernel_ior_demo.txt` for the CI double-run `cmp` check.
+//! All `ns_per_event` figures are **wall-clock**, so
+//! `results/BENCH_kernel.json` tracks the kernel trajectory but is
+//! *not* byte-compared by CI. The IOR rows' simulated bandwidths are
+//! deterministic, and are emitted separately as `kernel_ior_demo.txt`
+//! for the CI double-run `cmp` check.
 
 use std::collections::{HashMap, HashSet};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use daosim_cluster::ClusterSpec;
@@ -25,7 +24,7 @@ use daosim_kernel::calendar::{HeapCalendar, TimerWheel};
 use daosim_kernel::{Sim, SimDuration};
 use daosim_objstore::ObjectClass;
 
-use crate::harness::{gib, Report, Scale};
+use crate::harness::{gib, json_object, quoted, Report, Scale};
 
 /// Deterministic delta stream (splitmix64) shared by every variant, so
 /// old and new structures process the identical event sequence.
@@ -288,61 +287,71 @@ pub fn kernel_bench(scale: &Scale) -> Report {
         sz.pending, procs, kib, ior_wall
     ));
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"experiment\": \"kernel-bench\",");
-    let _ = writeln!(json, "  \"schema\": \"kernel-bench/v1\",");
-    let _ = writeln!(
-        json,
-        "  \"workload\": {{\"pending_timers\": {}, \"events\": {}}},",
-        sz.pending, sz.events
+    let f1 = |v: f64| format!("{v:.1}");
+    let f2 = |v: f64| format!("{v:.2}");
+    let obj = |fields: &[(&str, String)]| json_object(1, fields);
+    let json = json_object(
+        0,
+        &[
+            ("experiment", quoted("kernel-bench")),
+            ("schema", quoted("kernel-bench/v1")),
+            (
+                "workload",
+                obj(&[
+                    ("pending_timers", sz.pending.to_string()),
+                    ("events", sz.events.to_string()),
+                ]),
+            ),
+            (
+                "timer_churn",
+                obj(&[
+                    ("wheel_ns_per_event", f1(wheel)),
+                    ("heap_ns_per_event", f1(heap)),
+                    ("speedup", f2(heap / wheel)),
+                ]),
+            ),
+            (
+                "task_poll",
+                obj(&[
+                    ("slab_ns_per_poll", f1(slab)),
+                    ("hashmap_ns_per_poll", f1(hashmap)),
+                    ("speedup", f2(hashmap / slab)),
+                ]),
+            ),
+            (
+                "event_loop",
+                obj(&[
+                    ("new_ns_per_event", f1(new_loop)),
+                    ("old_ns_per_event", f1(old_loop)),
+                    ("speedup", f2(old_loop / new_loop)),
+                ]),
+            ),
+            ("executor_sleep", obj(&[("ns_per_event", f1(exec))])),
+            (
+                "ior_demo",
+                obj(&[
+                    ("procs", procs.to_string()),
+                    ("kib_per_proc", kib.to_string()),
+                    ("write_gib_s", gib(ior.write_bw())),
+                    ("read_gib_s", gib(ior.read_bw())),
+                    ("wall_s", f1(ior_wall)),
+                ]),
+            ),
+        ],
     );
-    let _ = writeln!(
-        json,
-        "  \"timer_churn\": {{\"wheel_ns_per_event\": {wheel:.1}, \
-         \"heap_ns_per_event\": {heap:.1}, \"speedup\": {:.2}}},",
-        heap / wheel
-    );
-    let _ = writeln!(
-        json,
-        "  \"task_poll\": {{\"slab_ns_per_poll\": {slab:.1}, \
-         \"hashmap_ns_per_poll\": {hashmap:.1}, \"speedup\": {:.2}}},",
-        hashmap / slab
-    );
-    let _ = writeln!(
-        json,
-        "  \"event_loop\": {{\"new_ns_per_event\": {new_loop:.1}, \
-         \"old_ns_per_event\": {old_loop:.1}, \"speedup\": {:.2}}},",
-        old_loop / new_loop
-    );
-    let _ = writeln!(
-        json,
-        "  \"executor_sleep\": {{\"ns_per_event\": {exec:.1}}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"ior_demo\": {{\"procs\": {procs}, \"kib_per_proc\": {kib}, \
-         \"write_gib_s\": {}, \"read_gib_s\": {}, \"wall_s\": {ior_wall:.1}}}",
-        gib(ior.write_bw()),
-        gib(ior.read_bw())
-    );
-    let _ = writeln!(json, "}}");
-    rep.artifact("BENCH_kernel.json", json);
+    rep.artifact("BENCH_kernel.json", json + "\n");
 
     // Simulated results only — deterministic, byte-compared by the CI
     // double-run `cmp` smoke step.
-    let mut demo = String::new();
-    let _ = writeln!(demo, "kernel_ior_demo v1");
-    let _ = writeln!(
-        demo,
-        "spec: servers={servers} client_nodes={client_nodes} ppn={ppn} procs={procs}"
+    let demo = format!(
+        "kernel_ior_demo v1\n\
+         spec: servers={servers} client_nodes={client_nodes} ppn={ppn} procs={procs}\n\
+         transfer: {kib} KiB x 1 segment, S1, file-per-process\n\
+         write_gib_s: {}\n\
+         read_gib_s: {}\n",
+        gib(ior.write_bw()),
+        gib(ior.read_bw())
     );
-    let _ = writeln!(
-        demo,
-        "transfer: {kib} KiB x 1 segment, S1, file-per-process"
-    );
-    let _ = writeln!(demo, "write_gib_s: {}", gib(ior.write_bw()));
-    let _ = writeln!(demo, "read_gib_s: {}", gib(ior.read_bw()));
     rep.artifact("kernel_ior_demo.txt", demo);
     rep
 }

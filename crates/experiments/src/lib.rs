@@ -3,8 +3,8 @@
 //! One runner per table and figure of the evaluation section, each
 //! printing the same rows/series the paper reports (with the paper's
 //! values alongside where the artifact is a table). The `xp` binary
-//! drives them; the `daosim-bench` crate wraps reduced-scale versions as
-//! Criterion benchmarks. The four extension experiments with knobs
+//! drives them; host timing of the simulator itself lives in the
+//! separate `benchmark/` package. The four extension experiments with knobs
 //! (`nwp-cycle`, `tiering`, `ior-interfaces`, `sched-fuzz`) take one
 //! typed parameter struct each, which `xp <name> --flag value` overrides
 //! through the one parser in [`params`].

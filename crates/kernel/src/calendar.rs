@@ -11,8 +11,7 @@
 //!
 //! The old heap survives as [`HeapCalendar`], compiled under tests and
 //! the `heap-calendar` feature only. It is the oracle for the proptest
-//! equivalence suite (same idiom as PR 1's `naive-flow` reference path)
-//! and the baseline side of the `kernel_events` bench.
+//! equivalence suite and the baseline side of `xp kernel-bench`.
 //!
 //! # Level placement and the cascade invariant
 //!
@@ -298,8 +297,8 @@ impl<T> TimerWheel<T> {
 }
 
 /// The pre-wheel calendar: a binary heap on `(at, seq)`. Kept as the
-/// proptest oracle and bench baseline under `cfg(test)` or the
-/// `heap-calendar` feature; the executor no longer uses it.
+/// proptest oracle and `xp kernel-bench` baseline under `cfg(test)` or
+/// the `heap-calendar` feature; the executor no longer uses it.
 #[cfg(any(test, feature = "heap-calendar"))]
 pub struct HeapCalendar<T> {
     heap: std::collections::BinaryHeap<std::cmp::Reverse<HeapEntry<T>>>,

@@ -138,8 +138,8 @@ impl Fabric {
     }
 
     /// A fabric whose flow network uses the reference per-flow solver
-    /// (baseline for benchmarks; see [`FlowNet::new_naive`]).
-    #[cfg(any(test, feature = "naive-flow"))]
+    /// (the test oracle; see [`FlowNet::new_naive`]).
+    #[cfg(test)]
     pub fn new_naive(sim: &Sim, spec: FabricSpec) -> Self {
         Self::build(spec, FlowNet::new_naive(sim))
     }

@@ -76,9 +76,8 @@
 //! kernel's cancellable timers instead of scheduling a fresh closure per
 //! settle and letting stale ones no-op via an epoch check.
 //!
-//! The pre-incremental per-flow solver is kept (under
-//! `cfg(any(test, feature = "naive-flow"))`) as an oracle for equivalence
-//! tests and as the baseline the `net_flow` benchmark measures against.
+//! The pre-incremental per-flow solver is kept under `cfg(test)` as the
+//! oracle for this crate's equivalence tests.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -344,7 +343,7 @@ struct Inner {
     timer: Option<TimerHandle>,
     stats: SolverStats,
     scratch: Scratch,
-    #[cfg(any(test, feature = "naive-flow"))]
+    #[cfg(test)]
     naive: bool,
 }
 
@@ -384,14 +383,14 @@ impl FlowNet {
     }
 
     /// A network driven by the reference per-flow solver, for equivalence
-    /// tests and baseline benchmarks.
-    #[cfg(any(test, feature = "naive-flow"))]
+    /// tests.
+    #[cfg(test)]
     pub fn new_naive(sim: &Sim) -> Self {
         Self::build(sim, true)
     }
 
     fn build(sim: &Sim, naive: bool) -> Self {
-        #[cfg(not(any(test, feature = "naive-flow")))]
+        #[cfg(not(test))]
         let _ = naive;
         FlowNet {
             sim: sim.clone(),
@@ -420,7 +419,7 @@ impl FlowNet {
                 timer: None,
                 stats: SolverStats::default(),
                 scratch: Scratch::default(),
-                #[cfg(any(test, feature = "naive-flow"))]
+                #[cfg(test)]
                 naive,
             })),
         }
@@ -870,7 +869,7 @@ impl Inner {
     }
 
     fn recompute(&mut self) {
-        #[cfg(any(test, feature = "naive-flow"))]
+        #[cfg(test)]
         if self.naive {
             for (slot, rate) in self.naive_rates() {
                 let class = self.slots[slot as usize]
@@ -1045,8 +1044,8 @@ impl Inner {
     /// The pre-incremental reference solver: per-flow progressive filling,
     /// allocating its working sets per call. Returns `(slot, rate)` pairs.
     /// Kept as the oracle the incremental solver is property-tested
-    /// against, and as the baseline for the `net_flow` benchmark.
-    #[cfg(any(test, feature = "naive-flow"))]
+    /// against.
+    #[cfg(test)]
     fn naive_rates(&self) -> Vec<(u32, f64)> {
         let nl = self.links.len();
         let mut residual = self.links.clone();

@@ -18,7 +18,7 @@ use bytes::Bytes;
 use daosim_cluster::{ClusterSpec, FaultPlan, RetryPolicy};
 use daosim_core::fieldio::{FieldIoConfig, FieldIoMode, FieldStore};
 use daosim_core::key::FieldKey;
-use daosim_core::metrics::anchored_bandwidth_timeline;
+use daosim_core::metrics::bandwidth_timeline;
 use daosim_core::obs::write_chrome_trace;
 use daosim_core::request::{retrieve, Request};
 use daosim_core::trace::{replay, replay_traced, Pacing, ReplayStats, Trace};
@@ -268,19 +268,36 @@ pub fn cmd_synth_trace(
             "all trace parameters must be positive".into(),
         ));
     }
-    let trace = Trace::synthesize_operational(
-        procs,
-        steps,
-        fields_per_step,
-        field_mib * 1024 * 1024,
-        SimDuration::from_millis(interval_ms),
-    );
+    // The trace's byte total and its last timestamp must fit in u64.
+    let fields = (u64::from(procs) * u64::from(steps)).saturating_mul(u64::from(fields_per_step));
+    let field_bytes = field_mib
+        .checked_mul(1 << 20)
+        .filter(|b| b.checked_mul(fields).is_some())
+        .ok_or_else(|| overflow("--mib", field_mib))?;
+    let interval = millis("--interval-ms", interval_ms)?;
+    let spans = u64::from(steps.max(fields_per_step)) + 1;
+    if interval.as_nanos().checked_mul(spans).is_none() {
+        return Err(overflow("--interval-ms", interval_ms));
+    }
+    let trace = Trace::synthesize_operational(procs, steps, fields_per_step, field_bytes, interval);
     fs::write(path, trace.to_csv())?;
     Ok(Outcome::TraceWritten {
         path: path.display().to_string(),
         ops: trace.len(),
         gib: trace.total_write_bytes() as f64 / (1u64 << 30) as f64,
     })
+}
+
+fn overflow(flag: &str, value: u64) -> ToolError {
+    ToolError::BadArgs(format!("{flag} {value} is too large"))
+}
+
+/// A millisecond flag as a duration, rejected by name when its
+/// nanosecond count overflows.
+fn millis(flag: &str, ms: u64) -> Result<SimDuration, ToolError> {
+    ms.checked_mul(1_000_000)
+        .map(SimDuration::from_nanos)
+        .ok_or_else(|| overflow(flag, ms))
 }
 
 /// Builds the replay field I/O config from the CLI's `--mode` and
@@ -395,13 +412,13 @@ pub fn cmd_failure_drill(
         ..Default::default()
     };
     let plan = FaultPlan::new()
-        .kill_and_rebuild(SimDuration::from_millis(kill_ms), 0)
-        .restart(SimDuration::from_millis(restart_ms), 0);
+        .kill_and_rebuild(millis("--kill-ms", kill_ms)?, 0)
+        .restart(millis("--restart-ms", restart_ms)?, 0);
     let out = replay(spec, fieldio, &trace, Pacing::Paced, Some(&plan));
     let bucket = SimDuration::from_millis(50);
     let end = SimTime::from_nanos((out.stats.end_secs * 1e9) as u64);
-    let writes = anchored_bandwidth_timeline(&out.write_events, bucket, end);
-    let reads = anchored_bandwidth_timeline(&out.read_events, bucket, end);
+    let writes = bandwidth_timeline(&out.write_events, bucket, end);
+    let reads = bandwidth_timeline(&out.read_events, bucket, end);
     let timeline = writes
         .iter()
         .zip(&reads)
@@ -669,6 +686,10 @@ mod tests {
             cmd_failure_drill(&a.0, 1, 2, 170, 59),
             Err(ToolError::BadArgs(_))
         ));
+        assert!(matches!(
+            cmd_failure_drill(&a.0, 1, 2, 59, u64::MAX),
+            Err(ToolError::BadArgs(m)) if m.contains("--restart-ms")
+        ));
     }
 
     #[test]
@@ -678,6 +699,22 @@ mod tests {
             cmd_synth_trace(&a.0, 0, 2, 3, 1, 40),
             Err(ToolError::BadArgs(_))
         ));
+        // Units that overflow u64 are rejected by flag name, not wrapped
+        // or panicked on.
+        for (mib, interval_ms, flag) in [
+            (u64::MAX, 40, "--mib"),
+            (1 << 43, 40, "--mib"),
+            (1, u64::MAX, "--interval-ms"),
+            (1, u64::MAX / 1_000_000, "--interval-ms"),
+        ] {
+            assert!(
+                matches!(
+                    cmd_synth_trace(&a.0, 1, 2, 3, mib, interval_ms),
+                    Err(ToolError::BadArgs(ref m)) if m.contains(flag)
+                ),
+                "mib {mib}, interval {interval_ms} ms"
+            );
+        }
     }
 
     #[test]

@@ -121,7 +121,7 @@ fn drill(array_class: ObjectClass) -> (u32, u32) {
             readers.wait().await;
         });
     }
-    sim.run().expect_quiescent();
+    let end = sim.run().expect_quiescent();
 
     if array_class == ObjectClass::RP2 {
         // Show the observability surface once, on the replicated run.
@@ -134,12 +134,17 @@ fn drill(array_class: ObjectClass) -> (u32, u32) {
             };
             println!("  engine {i} [{state}]: mean {mean:.2}, max {max:.2}");
         }
-        let tl = bandwidth_timeline(&rec.take(), SimDuration::from_millis(50));
+        let events = rec.take();
+        let bucket = SimDuration::from_millis(50);
+        let tl = bandwidth_timeline(&events, bucket, end);
+        // The read phase starts once archiving is done; skip the buckets
+        // before its first event.
+        let first = events.iter().map(|e| e.t_ns).min().unwrap_or(0);
         println!("degraded read bandwidth over time (50 ms buckets):");
-        for b in tl.iter().take(8) {
+        for b in tl.iter().skip((first / bucket.as_nanos()) as usize).take(8) {
             let bar = "#".repeat((b.bw_gib * 4.0) as usize);
             println!(
-                "  t+{:>4} ms {:>6.2} GiB/s {bar}",
+                "  t={:>4} ms {:>6.2} GiB/s {bar}",
                 b.t_ns / 1_000_000,
                 b.bw_gib
             );

@@ -13,12 +13,20 @@
 //! of the observed values; they guard the *shape* of each claim
 //! (scaling, ratios, regimes), not the paper's absolute numbers.
 
-use daosim::cluster::ClusterSpec;
+use std::cell::Cell;
+use std::rc::Rc;
+
+use daosim::bytes::Bytes;
+use daosim::cluster::{rebuild_engine, Calibration, ClusterSpec, Deployment, SimClient};
 use daosim::core::fieldio::{FieldIoConfig, FieldIoMode};
 use daosim::core::patterns::{run_pattern_a, run_pattern_b, PatternConfig};
 use daosim::core::workload::Contention;
 use daosim::ior::{run_ior, IorParams};
-use daosim::objstore::ObjectClass;
+use daosim::kernel::{Sim, SimDuration};
+use daosim::net::mpi::{run_p2p, MpiP2pConfig};
+use daosim::net::ProviderProfile;
+use daosim::objstore::api::DaosApi;
+use daosim::objstore::{ObjectClass, OidAllocator, Uuid};
 
 const MIB: u64 = 1024 * 1024;
 
@@ -197,4 +205,259 @@ fn shared_index_contention_caps_indexed_modes_downscaled() {
         no_idx.aggregate_gib(),
         idx.aggregate_gib()
     );
+}
+
+// ---------------------------------------------------------------------
+// Qualitative model effects at reduced scale: each row runs a calibrated
+// configuration against its ablated or contrasting twin.
+// ---------------------------------------------------------------------
+
+/// The relation a row's `(lhs, rhs)` pair must satisfy.
+#[derive(Clone, Copy, Debug)]
+enum Holds {
+    /// `lhs > factor * rhs`.
+    Above(f64),
+    /// `lhs >= rhs`.
+    AtLeast,
+}
+
+impl Holds {
+    fn check(self, lhs: f64, rhs: f64) -> bool {
+        match self {
+            Holds::Above(factor) => lhs > factor * rhs,
+            Holds::AtLeast => lhs >= rhs,
+        }
+    }
+}
+
+/// One row: the claim, the paired runs `(lhs, rhs)`, and their relation.
+type Effect = (&'static str, fn() -> (f64, f64), Holds);
+
+/// Two servers, four client nodes, eight processes per node writing ten
+/// 1 MiB fields each, under `cal`.
+fn effect_pattern(mode: FieldIoMode, contention: Contention, cal: Calibration) -> PatternConfig {
+    let mut cluster = ClusterSpec::tcp(2, 4);
+    cluster.calibration = cal;
+    PatternConfig {
+        cluster,
+        fieldio: FieldIoConfig::builder().mode(mode).build(),
+        contention,
+        procs_per_node: 8,
+        ops_per_proc: 10,
+        field_bytes: MIB,
+        verify: false,
+    }
+}
+
+/// 1 MiB TCP point-to-point stream: `(uncapped, capped)` GiB/s, the
+/// uncapped run lifting the per-flow cap and the stream penalty.
+fn stream_cap() -> (f64, f64) {
+    let p2p = |provider| {
+        run_p2p(MpiP2pConfig {
+            provider,
+            pairs: 1,
+            msg_bytes: 2 * MIB,
+            messages: 20,
+        })
+        .aggregate_gib_s
+    };
+    let mut open = ProviderProfile::tcp();
+    open.per_flow_cap_gib = 1e6;
+    open.stream_alpha = 0.0;
+    (p2p(open), p2p(ProviderProfile::tcp()))
+}
+
+/// Pattern B, full mode, low contention: `(zeroed, calibrated)` GiB/s
+/// with the container-table cost removed.
+fn cont_table() -> (f64, f64) {
+    let mut zeroed = Calibration::nextgenio();
+    zeroed.cont_table_cost_per_cont = SimDuration::ZERO;
+    zeroed.cont_table_cost_cap = SimDuration::ZERO;
+    let run = |cal| {
+        run_pattern_b(&effect_pattern(FieldIoMode::Full, Contention::Low, cal)).aggregate_gib()
+    };
+    (run(zeroed), run(Calibration::nextgenio()))
+}
+
+/// Pattern A, no-containers mode, high contention: `(zeroed,
+/// calibrated)` GiB/s with KV update/fetch serialisation removed.
+fn kv_serialisation() -> (f64, f64) {
+    let mut zeroed = Calibration::nextgenio();
+    zeroed.kv_update_serial_cost = SimDuration::ZERO;
+    zeroed.kv_fetch_serial_cost = SimDuration::ZERO;
+    let run = |cal| {
+        run_pattern_a(&effect_pattern(
+            FieldIoMode::NoContainers,
+            Contention::High,
+            cal,
+        ))
+        .aggregate_gib()
+    };
+    (run(zeroed), run(Calibration::nextgenio()))
+}
+
+/// Pattern A, no-index mode, low contention: `(frictionless, real)` GiB/s.
+fn frictionless() -> (f64, f64) {
+    let run = |cal| {
+        run_pattern_a(&effect_pattern(FieldIoMode::NoIndex, Contention::Low, cal)).aggregate_gib()
+    };
+    (
+        run(Calibration::frictionless()),
+        run(Calibration::nextgenio()),
+    )
+}
+
+/// Simulated seconds for eight processes on one client node to each
+/// write six 1 MiB arrays of `class` to two servers.
+fn redundancy_write_secs(class: ObjectClass) -> f64 {
+    let sim = Sim::new();
+    let d = Deployment::new(&sim, ClusterSpec::tcp(2, 1));
+    for p in 0..8u32 {
+        let d = Rc::clone(&d);
+        sim.spawn(async move {
+            let client = SimClient::for_process(&d, 0, p);
+            let cont = client
+                .cont_open_or_create(Uuid::from_name(b"bench"))
+                .await
+                .unwrap();
+            let mut alloc = OidAllocator::new(p + 1);
+            let payload = Bytes::from(vec![1u8; MIB as usize]);
+            for _ in 0..6 {
+                let h = client.array_create(&cont, alloc.next(class)).await.unwrap();
+                client
+                    .array_write(&cont, &h, 0, payload.clone())
+                    .await
+                    .unwrap();
+            }
+        });
+    }
+    sim.run().expect_quiescent().as_secs_f64()
+}
+
+/// Writes 24 RP2 arrays, kills engine 0 and rebuilds it: `(objects
+/// moved, 0)`.
+fn rebuild() -> (f64, f64) {
+    let sim = Sim::new();
+    let d = Deployment::new(&sim, ClusterSpec::tcp(2, 1));
+    let moved = Rc::new(Cell::new(0));
+    let (d2, moved2) = (Rc::clone(&d), Rc::clone(&moved));
+    sim.spawn(async move {
+        let client = SimClient::for_process(&d2, 0, 0);
+        let cont = client
+            .cont_open_or_create(Uuid::from_name(b"rb"))
+            .await
+            .unwrap();
+        let mut alloc = OidAllocator::new(1);
+        let payload = Bytes::from(vec![2u8; MIB as usize]);
+        for _ in 0..24 {
+            let h = client
+                .array_create(&cont, alloc.next(ObjectClass::RP2))
+                .await
+                .unwrap();
+            client
+                .array_write(&cont, &h, 0, payload.clone())
+                .await
+                .unwrap();
+        }
+        d2.kill_engine(0);
+        let r = rebuild_engine(&d2, 0)
+            .await
+            .expect("rebuild of killed engine");
+        moved2.set(r.objects_moved);
+    });
+    sim.run().expect_quiescent();
+    (moved.get() as f64, 0.0)
+}
+
+/// Fig. 5 at two servers: pattern B, low contention, `(no-containers,
+/// no-index)` GiB/s.
+fn fig5_modes() -> (f64, f64) {
+    let run = |mode| {
+        run_pattern_b(&effect_pattern(
+            mode,
+            Contention::Low,
+            Calibration::nextgenio(),
+        ))
+        .aggregate_gib()
+    };
+    (run(FieldIoMode::NoContainers), run(FieldIoMode::NoIndex))
+}
+
+/// Fig. 7 at four servers and four client nodes: IOR write GiB/s over
+/// `(PSM2, TCP)`, eight processes per node writing ten 1 MiB segments.
+fn fig7_providers() -> (f64, f64) {
+    let params = IorParams {
+        transfer_bytes: MIB,
+        segments: 10,
+        procs_per_node: 8,
+        class: ObjectClass::S1,
+        iterations: 1,
+        file_mode: daosim_ior::FileMode::FilePerProcess,
+        inflight: 1,
+        api: daosim_ior::Api::Daos,
+    };
+    let mut tcp = ClusterSpec::psm2(4, 4);
+    tcp.provider = ProviderProfile::tcp();
+    (
+        run_ior(ClusterSpec::psm2(4, 4), params).write_bw(),
+        run_ior(tcp, params).write_bw(),
+    )
+}
+
+/// Every row must hold; a failure lists each broken row with its values.
+#[test]
+fn model_effects_hold_at_reduced_scale() {
+    use ObjectClass::{EC2P1, RP2, S1};
+    let rows: [Effect; 10] = [
+        (
+            "stream cap: uncapped > 1.5x capped",
+            stream_cap,
+            Holds::Above(1.5),
+        ),
+        (
+            "container table: zeroed > calibrated",
+            cont_table,
+            Holds::Above(1.0),
+        ),
+        (
+            "KV serialisation: zeroed > calibrated",
+            kv_serialisation,
+            Holds::Above(1.0),
+        ),
+        ("frictionless >= real", frictionless, Holds::AtLeast),
+        (
+            "write time: RP2 > S1",
+            || (redundancy_write_secs(RP2), redundancy_write_secs(S1)),
+            Holds::Above(1.0),
+        ),
+        (
+            "write time: EC2P1 > S1",
+            || (redundancy_write_secs(EC2P1), redundancy_write_secs(S1)),
+            Holds::Above(1.0),
+        ),
+        (
+            "write time: RP2 > EC2P1",
+            || (redundancy_write_secs(RP2), redundancy_write_secs(EC2P1)),
+            Holds::Above(1.0),
+        ),
+        ("rebuild: objects moved > 0", rebuild, Holds::Above(1.0)),
+        (
+            "Fig. 5: no-containers > no-index",
+            fig5_modes,
+            Holds::Above(1.0),
+        ),
+        (
+            "Fig. 7: PSM2 IOR > TCP IOR",
+            fig7_providers,
+            Holds::Above(1.0),
+        ),
+    ];
+    let broken: Vec<String> = rows
+        .iter()
+        .filter_map(|&(name, run, holds)| {
+            let (lhs, rhs) = run();
+            (!holds.check(lhs, rhs)).then(|| format!("{name}: {lhs} vs {rhs} ({holds:?})"))
+        })
+        .collect();
+    assert!(broken.is_empty(), "{broken:#?}");
 }
