@@ -33,10 +33,16 @@
 //!
 //! Popping a level-0 slot yields exact deadlines (level-0 slots are one
 //! nanosecond wide, so a slot holds ties only, ordered by `seq`).
-//! Selecting a level-`l ≥ 1` slot instead advances the clock to the
-//! slot's base time and re-inserts its entries, which land at strictly
-//! lower levels (they now share the slot field with the clock) — the
-//! cascade terminates in at most [`LEVELS`] rounds per entry.
+//! Selecting a level-`l ≥ 1` slot that holds a single entry pops that
+//! entry directly and sets the clock to its deadline: by fact 3 it is
+//! the global minimum, and every other entry shares the bits above
+//! level `l` with it and sits in a later slot of level `l` or above, so
+//! facts 1 and 2 still hold at the new clock. A sparse calendar (one
+//! sleep per task, far apart) pops almost entirely this way. Selecting a
+//! slot with more entries instead advances the clock to the slot's base
+//! time and re-inserts its entries, which land at strictly lower levels
+//! (they now share the slot field with the clock) — the cascade
+//! terminates in at most [`LEVELS`] rounds per entry.
 //!
 //! # Slot buffers are reused
 //!
@@ -73,7 +79,8 @@ struct Entry<T> {
 ///
 /// `push` is O(1) for deadlines within the horizon (O(log n) into the
 /// overflow map beyond it); `pop_next` is amortized O(1) plus at most
-/// [`LEVELS`] cascades over an entry's lifetime. Ties on `at` pop in
+/// [`LEVELS`] cascades over an entry's lifetime, and none for an entry
+/// that is alone in its slot when the clock reaches it. Ties on `at` pop in
 /// `seq` order, matching the binary-heap calendar bit for bit.
 pub struct TimerWheel<T> {
     /// The wheel clock: greatest deadline popped so far (or a cascade
@@ -228,6 +235,19 @@ impl<T> TimerWheel<T> {
                 self.due = std::mem::replace(&mut self.levels[0][slot], spare);
                 self.due.sort_unstable_by_key(|e| std::cmp::Reverse(e.seq));
                 let e = self.due.pop().expect("occupied slot is non-empty");
+                self.now = e.at;
+                self.len -= 1;
+                return Some(e);
+            }
+            if self.levels[level][slot].len() == 1 {
+                // A lone entry in the minimum slot is the global minimum:
+                // pop it straight away instead of cascading it down one
+                // level at a time. The clock may jump to its deadline,
+                // since every other entry shares the bits above this
+                // level with it and sits in a later slot here or higher.
+                let mut buf = std::mem::take(&mut self.levels[level][slot]);
+                let e = buf.pop().expect("one entry");
+                self.levels[level][slot] = Self::keepable(buf);
                 self.now = e.at;
                 self.len -= 1;
                 return Some(e);
@@ -439,6 +459,40 @@ mod tests {
         assert_eq!(w.pop_next(), Some((70_000, 3, 3)));
     }
 
+    /// A lone entry in the minimum slot pops without cascading, at every
+    /// level above 0 and right after migrating out of the overflow map:
+    /// it comes out first, the clock lands on its deadline, and the slot
+    /// is free for the next rotation.
+    #[test]
+    fn lone_entry_pops_directly_and_moves_the_clock_to_its_deadline() {
+        for level in 1..LEVELS as u32 {
+            let mut w = TimerWheel::new();
+            let at = (1u64 << (SLOT_BITS * level)) + 3;
+            let later = at + (1 << (SLOT_BITS * level));
+            w.push(at, 0, "lone");
+            w.push(later, 1, "later");
+            assert_eq!(w.pop_next(), Some((at, 0, "lone")), "level {level}");
+            assert_eq!(w.now(), at, "level {level}");
+            // A tie pushed at the new clock still pops before `later`.
+            w.push(at, 2, "tie");
+            assert_eq!(w.pop_next(), Some((at, 2, "tie")), "level {level}");
+            assert_eq!(w.pop_next(), Some((later, 1, "later")), "level {level}");
+            assert_eq!(w.now(), later);
+            assert!(w.is_empty());
+        }
+        // Both entries start beyond the horizon. The first pop jumps the
+        // clock to the earlier one and migrates both; the second, alone
+        // at level 2, pops directly.
+        let mut w = TimerWheel::new();
+        w.push(HORIZON + 10, 0, "first");
+        w.push(HORIZON + 5_000, 1, "migrated");
+        assert_eq!(w.pop_next(), Some((HORIZON + 10, 0, "first")));
+        assert_eq!(w.now(), HORIZON + 10);
+        assert_eq!(w.pop_next(), Some((HORIZON + 5_000, 1, "migrated")));
+        assert_eq!(w.now(), HORIZON + 5_000);
+        assert!(w.is_empty());
+    }
+
     #[test]
     fn compact_removes_dead_entries_everywhere() {
         let mut w = TimerWheel::new();
@@ -473,10 +527,28 @@ mod tests {
         proptest::collection::vec((delta, any::<bool>()), 1..200)
     }
 
+    /// The sparse arm: few entries, far apart, popped as often as they
+    /// are pushed, so most pops find their slot holding a lone entry and
+    /// take the direct path, while the odd pair still cascades.
+    fn sparse_ops() -> impl Strategy<Value = Vec<(u64, bool)>> {
+        let delta = prop_oneof![
+            1 => 0u64..64,
+            3 => 64u64..(1 << 36),
+            1 => (1u64 << 36)..(1 << 40),
+        ];
+        let pop = prop_oneof![3 => Just(true), 1 => Just(false)];
+        proptest::collection::vec((delta, pop), 1..60)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
         #[test]
-        fn wheel_matches_heap_oracle(ops in equivalence_ops(), ties in 0u64..8) {
+        fn wheel_matches_heap_oracle(
+            (ops, ties) in prop_oneof![
+                (equivalence_ops(), 0u64..8),
+                (sparse_ops(), Just(0u64)),
+            ]
+        ) {
             let mut wheel = TimerWheel::new();
             let mut heap = HeapCalendar::new();
             let mut clock = 0u64; // mirror of the executor's `now`

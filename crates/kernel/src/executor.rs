@@ -10,10 +10,27 @@
 //! `Sim` is a cheap `Rc` handle; clone it freely into spawned tasks.
 //!
 //! Tasks live in a generational slab arena: a [`TaskId`] is a slot index
-//! plus a generation stamp, polls index straight into the slab (no
-//! remove/reinsert hashing), each slot caches its `Waker`, and wakes
-//! dedup through one atomic flag per task instead of a hash-set insert
-//! under the queue mutex (see DESIGN.md §8).
+//! plus a generation stamp, and polls index straight into the slab. Each
+//! slot caches its `Waker`, which the poll loop lends to the poll rather
+//! than cloning it.
+//!
+//! Every wake enters one ready FIFO, owned by the executor, in call order
+//! (see DESIGN.md §8). A wake raised on the thread that is running the
+//! `Sim` takes no lock, does no atomic read-modify-write and touches no
+//! `Waker` refcount:
+//!
+//! * a kernel waiter (a [`Sleep`], a `sync` semaphore, barrier, oneshot,
+//!   channel or wait group) polled under its own task's waker records
+//!   the task's handle `(slot, generation)` instead of a `Waker` clone,
+//!   and firing the handle enqueues the task directly;
+//! * a `Waker` woken on that thread finds the ready FIFO through a
+//!   thread-local that `Sim::run` sets for the innermost run.
+//!
+//! A `Waker` woken anywhere else (another thread, or this one outside the
+//! run) posts to a mutex-guarded mailbox instead, which the executor
+//! checks with one plain load before each pick. Per-task dedup is a plain
+//! flag beside the FIFO, so a wake storm between two polls costs one
+//! queue entry.
 //!
 //! Timers live in a second generational slab, beside the kernel rather
 //! than inside it. A [`Sleep`], a `sync::timeout` deadline or a
@@ -30,7 +47,7 @@
 //! deterministically from a seed so schedule-invariance can be fuzzed
 //! (see DESIGN.md §7).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
@@ -96,9 +113,9 @@ struct TimerKey {
 enum TimerState {
     /// The slot is on the free list.
     Free,
-    /// A [`Sleep`] (or a `sync::timeout` deadline): the waker to call,
-    /// once the sleep has been polled.
-    Wake(Option<Waker>),
+    /// A [`Sleep`] (or a `sync::timeout` deadline): whom to wake, once
+    /// the sleep has been polled.
+    Wake(Option<Wakeup>),
     /// A [`TimerHandle`]'s action.
     Action(EventAction),
 }
@@ -197,37 +214,192 @@ pub enum SchedPolicy {
     },
 }
 
-/// A `(slot, generation)` pair as it travels through the wake queue.
-/// Stale pairs (generation no longer matching the slab) are discarded at
-/// pick time, exactly as wakes of completed tasks always were.
+/// A task handle `(slot, generation)` as it travels through the ready
+/// FIFO. Stale handles (generation no longer matching the slot) are
+/// discarded at pick time.
 type WakeEntry = (u32, u32);
 
-/// Cross-thread wake mailbox. A `Waker` must be `Send + Sync`, so this
-/// small piece of shared state uses a real mutex even though the
-/// executor itself is single-threaded; the executor drains it in batches
-/// into a local queue, so the mutex is taken once per batch rather than
-/// once per pick (and per-wake dedup happens on [`WakeSlot::queued`]
-/// without touching the lock at all for coalesced wakes).
+/// The cold path of a wake: where a `Waker` posts when it is woken on a
+/// thread that is not running its `Sim` (another thread, or this one
+/// outside [`Sim::run`]). A `Waker` must be `Send + Sync`, so this is a
+/// real mutex; `pending` lets the executor check it with one plain load
+/// and take the lock only when there is mail.
 #[derive(Default)]
-struct WakeQueue {
-    ready: Mutex<Vec<WakeEntry>>,
+struct Mailbox {
+    posted: Mutex<Vec<WakeEntry>>,
+    pending: AtomicBool,
 }
 
-/// The per-task wake state a `Waker` points at. One allocation per task
-/// for its whole lifetime (the slab caches the constructed `Waker`), not
-/// one per poll. `queued` makes a wake storm between polls cost one
-/// queue entry: only the transition false→true enqueues.
-struct WakeSlot {
-    slot: u32,
+impl Mailbox {
+    fn post(&self, entry: WakeEntry) {
+        let mut posted = self.posted.lock().unwrap();
+        posted.push(entry);
+        self.pending.store(true, Ordering::Release);
+    }
+}
+
+/// The wake state of one slab slot, kept beside the ready FIFO.
+#[derive(Clone, Copy, Default)]
+struct SlotWake {
+    /// Generation of the slot's current (or next) occupant.
     gen: u32,
-    queued: AtomicBool,
-    queue: Arc<WakeQueue>,
+    /// The occupant has an entry in the FIFO that was not picked yet.
+    queued: bool,
+    /// The same flag for the 64 previous occupants, the latest in bit 0.
+    /// A finished task's flag still dedups the stale wakes that reach
+    /// it, exactly as its `Waker` would: `SchedPolicy::Random` draws over
+    /// stale entries too, so their number must not depend on whether a
+    /// wake came through a handle or a `Waker`.
+    retired: u64,
+}
+
+/// The executor-owned ready set of one `Sim`: the FIFO every wake enters
+/// in call order, the per-slot dedup flags, and the mailbox of the cold
+/// path. Task handles hold it by `Rc`.
+#[derive(Default)]
+pub(crate) struct Ready {
+    state: RefCell<ReadyState>,
+    /// True while this `Sim` is the innermost [`Sim::run`] on its thread.
+    /// Only then does a wake enqueue directly; otherwise it posts to the
+    /// mailbox, which keeps wakes raised outside the run in call order.
+    running: Cell<bool>,
+    /// The task being polled: its cached waker's data pointer and handle.
+    polling: Cell<Option<(*const (), WakeEntry)>>,
+    mailbox: Arc<Mailbox>,
+}
+
+#[derive(Default)]
+struct ReadyState {
+    fifo: VecDeque<WakeEntry>,
+    slots: Vec<SlotWake>,
+}
+
+thread_local! {
+    /// The ready set of the innermost `Sim::run` on this thread.
+    static RUNNING: RefCell<Option<Rc<Ready>>> = const { RefCell::new(None) };
+}
+
+impl Ready {
+    /// Wakes a task of this `Sim` from its own thread.
+    fn wake(&self, entry: WakeEntry) {
+        if self.running.get() {
+            self.enqueue(entry);
+        } else {
+            self.mailbox.post(entry);
+        }
+    }
+
+    /// Appends `entry` to the FIFO unless its task already has an entry
+    /// there (or, for a finished task, once had one).
+    fn enqueue(&self, (slot, gen): WakeEntry) {
+        let mut st = self.state.borrow_mut();
+        let s = &mut st.slots[slot as usize];
+        if s.gen == gen {
+            if s.queued {
+                return;
+            }
+            s.queued = true;
+        } else {
+            let age = s.gen.wrapping_sub(gen).wrapping_sub(1);
+            let bit = 1u64.checked_shl(age).unwrap_or(0);
+            if bit == 0 || s.retired & bit != 0 {
+                return;
+            }
+            s.retired |= bit;
+        }
+        st.fifo.push_back((slot, gen));
+    }
+
+    /// Moves the mailbox's entries onto the FIFO, in the order posted.
+    fn collect_mail(&self) {
+        if !self.mailbox.pending.load(Ordering::Acquire) {
+            return;
+        }
+        let mut posted = self.mailbox.posted.lock().unwrap();
+        self.mailbox.pending.store(false, Ordering::Relaxed);
+        for entry in posted.drain(..) {
+            self.enqueue(entry);
+        }
+    }
+
+    /// Readies `slot` for a new occupant and returns its generation.
+    fn admit(&self, slot: u32) -> u32 {
+        let mut st = self.state.borrow_mut();
+        let slot = slot as usize;
+        if st.slots.len() <= slot {
+            st.slots.resize(slot + 1, SlotWake::default());
+        }
+        st.slots[slot].gen
+    }
+
+    /// Retires the occupant of `slot`: its generation is dead from now on.
+    fn retire(&self, slot: u32) {
+        let mut st = self.state.borrow_mut();
+        let s = &mut st.slots[slot as usize];
+        s.retired = (s.retired << 1) | s.queued as u64;
+        s.queued = false;
+        s.gen = s.gen.wrapping_add(1);
+    }
+}
+
+/// Makes a `Sim`'s ready set the thread's innermost running one for the
+/// lifetime of the guard, and hands the outer one back on drop (also when
+/// a poll panics).
+struct RunGuard {
+    ready: Rc<Ready>,
+    outer: Option<Rc<Ready>>,
+}
+
+impl RunGuard {
+    fn enter(ready: &Rc<Ready>) -> Self {
+        let outer = RUNNING.replace(Some(Rc::clone(ready)));
+        if let Some(o) = &outer {
+            o.running.set(false);
+        }
+        ready.running.set(true);
+        ready.collect_mail();
+        RunGuard {
+            ready: Rc::clone(ready),
+            outer,
+        }
+    }
+}
+
+impl Drop for RunGuard {
+    fn drop(&mut self) {
+        self.ready.running.set(false);
+        self.ready.polling.set(None);
+        let outer = self.outer.take();
+        if let Some(o) = &outer {
+            // Wakes the nested run made on the outer `Sim` went to its
+            // mailbox; they precede every wake from here on.
+            o.running.set(true);
+            o.collect_mail();
+        }
+        drop(RUNNING.replace(outer));
+    }
+}
+
+/// The `Waker` of one task: one allocation per task for its whole
+/// lifetime (the slab caches the constructed `Waker`), not one per poll.
+struct WakeSlot {
+    entry: WakeEntry,
+    mailbox: Arc<Mailbox>,
 }
 
 impl WakeSlot {
     fn enqueue(&self) {
-        if !self.queued.swap(true, Ordering::AcqRel) {
-            self.queue.ready.lock().unwrap().push((self.slot, self.gen));
+        let direct = RUNNING
+            .try_with(|running| match &*running.borrow() {
+                Some(ready) if Arc::ptr_eq(&ready.mailbox, &self.mailbox) => {
+                    ready.enqueue(self.entry);
+                    true
+                }
+                _ => false,
+            })
+            .unwrap_or(false);
+        if !direct {
+            self.mailbox.post(self.entry);
         }
     }
 }
@@ -241,17 +413,53 @@ impl Wake for WakeSlot {
     }
 }
 
-/// One slab slot. `gen` is bumped when the occupant completes, so stale
-/// wake entries and stale `TaskId`s can never reach a reused slot.
+/// Whom a parked waiter wakes. Polled under its own task's waker (the
+/// common case: every `async` body and every kernel combinator passes
+/// the task's context down), a waiter records the task's handle, and
+/// firing it enqueues the task with no `Waker` refcount touched. Polled
+/// under any other waker (a hand-written combinator's own, or a manual
+/// poll), it keeps that waker and wakes through it.
+pub(crate) enum Wakeup {
+    Task(Rc<Ready>, WakeEntry),
+    Waker(Waker),
+}
+
+impl Wakeup {
+    /// The wakeup for a future being polled with `cx`.
+    pub(crate) fn of(cx: &Context<'_>) -> Self {
+        let waker = cx.waker();
+        let task = RUNNING
+            .try_with(|running| {
+                let running = running.borrow();
+                let ready = running.as_ref()?;
+                match ready.polling.get() {
+                    Some((data, entry)) if data == waker.data() => {
+                        Some(Wakeup::Task(Rc::clone(ready), entry))
+                    }
+                    _ => None,
+                }
+            })
+            .ok()
+            .flatten();
+        task.unwrap_or_else(|| Wakeup::Waker(waker.clone()))
+    }
+
+    pub(crate) fn wake(self) {
+        match self {
+            Wakeup::Task(ready, entry) => ready.wake(entry),
+            Wakeup::Waker(waker) => waker.wake(),
+        }
+    }
+}
+
+/// One slab slot.
 struct TaskSlot {
-    gen: u32,
     ordinal: u64,
     /// `None` while the slot is free *or* while its future is out being
     /// polled (the executor takes it, polls without holding the kernel
     /// borrow, and puts it back if pending).
     fut: Option<TaskFuture>,
-    /// Wake state + cached waker; `None` while the slot is free.
-    wake: Option<Arc<WakeSlot>>,
+    /// The cached waker; out on loan with the future during a poll.
     waker: Option<Waker>,
     /// This task's current wake was already deferred once by
     /// `SchedPolicy::WakeDelay` (deferral is never compounded).
@@ -261,10 +469,8 @@ struct TaskSlot {
 impl TaskSlot {
     fn free() -> Self {
         TaskSlot {
-            gen: 0,
             ordinal: 0,
             fut: None,
-            wake: None,
             waker: None,
             deferred: false,
         }
@@ -277,15 +483,11 @@ struct Kernel {
     next_ordinal: u64,
     events: TimerWheel<CalendarAction>,
     /// The task arena. Freed slots go on `free_slots` and are reused
-    /// with a bumped generation.
+    /// with a bumped generation (kept in [`Ready`]).
     slab: Vec<TaskSlot>,
     free_slots: Vec<u32>,
     /// Number of spawned-and-not-yet-completed tasks.
     live: usize,
-    /// Executor-local ready queue, refilled by draining [`WakeQueue`].
-    local_ready: VecDeque<WakeEntry>,
-    /// Ready-set discipline; `SchedPolicy::Fifo` unless perturbed.
-    policy: SchedPolicy,
     /// `splitmix64` counter state behind the policy's random draws.
     sched_rng: u64,
 }
@@ -350,8 +552,9 @@ impl RunOutcome {
 pub struct Sim {
     kernel: Rc<RefCell<Kernel>>,
     timers: Rc<RefCell<Timers>>,
-    wakes: Arc<WakeQueue>,
+    ready: Rc<Ready>,
     obs: Rc<Obs>,
+    policy: SchedPolicy,
 }
 
 impl Default for Sim {
@@ -381,19 +584,18 @@ impl Sim {
                 slab: Vec::new(),
                 free_slots: Vec::new(),
                 live: 0,
-                local_ready: VecDeque::new(),
-                policy,
                 sched_rng,
             })),
             timers: Rc::default(),
-            wakes: Arc::new(WakeQueue::default()),
+            ready: Rc::default(),
             obs: Rc::new(Obs::default()),
+            policy,
         }
     }
 
     /// The ready-set discipline this world runs under.
     pub fn sched_policy(&self) -> SchedPolicy {
-        self.kernel.borrow().policy
+        self.policy
     }
 
     /// The observability layer (span tracer + metrics registry) of this
@@ -443,7 +645,7 @@ impl Sim {
     /// Spawns a task onto the simulation. The task starts running at the
     /// current simulated time, when the executor next polls.
     pub fn spawn(&self, fut: impl Future<Output = ()> + 'static) -> TaskId {
-        let (id, wake) = {
+        let id = {
             let mut k = self.kernel.borrow_mut();
             let ordinal = k.next_ordinal;
             k.next_ordinal += 1;
@@ -454,30 +656,26 @@ impl Sim {
                     (k.slab.len() - 1) as u32
                 }
             };
-            let gen = k.slab[slot as usize].gen;
-            let wake = Arc::new(WakeSlot {
-                slot,
-                gen,
-                queued: AtomicBool::new(false),
-                queue: Arc::clone(&self.wakes),
-            });
+            let gen = self.ready.admit(slot);
+            let waker = Waker::from(Arc::new(WakeSlot {
+                entry: (slot, gen),
+                mailbox: Arc::clone(&self.ready.mailbox),
+            }));
             k.slab[slot as usize] = TaskSlot {
-                gen,
                 ordinal,
                 fut: Some(Box::pin(fut)),
-                wake: Some(Arc::clone(&wake)),
-                waker: Some(Waker::from(Arc::clone(&wake))),
+                waker: Some(waker),
                 deferred: false,
             };
             k.live += 1;
-            (TaskId { slot, gen, ordinal }, wake)
+            TaskId { slot, gen, ordinal }
         };
         if self.obs.is_enabled() {
             self.obs
                 .instant("executor", &format!("spawn t{}", id.as_u64()));
         }
         // Make sure the new task gets a first poll.
-        wake.enqueue();
+        self.ready.wake((id.slot, id.gen));
         id
     }
 
@@ -560,6 +758,7 @@ impl Sim {
     /// Runs the simulation until both the event calendar and the ready
     /// queue are empty.
     pub fn run(&self) -> RunOutcome {
+        let _running = RunGuard::enter(&self.ready);
         loop {
             // Drain all tasks runnable at the current instant first; only
             // when nothing is ready does time advance.
@@ -601,7 +800,7 @@ impl Sim {
                     self.obs.set_now(at.as_nanos());
                     match fire {
                         TimerState::Action(action) => action(),
-                        TimerState::Wake(Some(waker)) => waker.wake(),
+                        TimerState::Wake(Some(wakeup)) => wakeup.wake(),
                         TimerState::Wake(None) => {}
                         TimerState::Free => unreachable!("liveness was checked in the wheel"),
                     }
@@ -621,53 +820,32 @@ impl Sim {
     /// `(slot, gen)` whose liveness has already been checked — stale
     /// entries (completed tasks, reused slots) are skipped here.
     ///
-    /// FIFO (and `WakeDelay`, which picks FIFO) refills the local queue
-    /// by draining the shared mailbox only when the local queue is empty:
-    /// one mutex round-trip per batch. That preserves wake order exactly
-    /// — entries pushed during polls of this batch sort after the batch,
-    /// as they did through the single shared queue. LIFO and Random must
-    /// see the *full* ready set on every pick (the newest wake, the true
-    /// set size), so they drain the mailbox before each pick.
-    fn next_ready(&self) -> Option<(u32, u32)> {
-        let mut k = self.kernel.borrow_mut();
+    /// The mailbox is checked first, with one plain load, so a wake from
+    /// another thread joins the ready set before the next pick. FIFO (and
+    /// `WakeDelay`, which picks FIFO) pops the front; LIFO pops the back
+    /// (the newest wake); Random draws over the whole ready set.
+    fn next_ready(&self) -> Option<WakeEntry> {
+        self.ready.collect_mail();
+        let mut st = self.ready.state.borrow_mut();
         loop {
-            let entry = match k.policy {
-                SchedPolicy::Fifo | SchedPolicy::WakeDelay { .. } => {
-                    if k.local_ready.is_empty() {
-                        let mut shared = self.wakes.ready.lock().unwrap();
-                        if shared.is_empty() {
-                            return None;
-                        }
-                        k.local_ready.extend(shared.drain(..));
-                    }
-                    k.local_ready.pop_front()
-                }
-                SchedPolicy::Lifo | SchedPolicy::Random { .. } => {
-                    {
-                        let mut shared = self.wakes.ready.lock().unwrap();
-                        k.local_ready.extend(shared.drain(..));
-                    }
-                    let len = k.local_ready.len();
+            let entry = match self.policy {
+                SchedPolicy::Fifo | SchedPolicy::WakeDelay { .. } => st.fifo.pop_front(),
+                SchedPolicy::Lifo => st.fifo.pop_back(),
+                SchedPolicy::Random { .. } => {
+                    let len = st.fifo.len();
                     if len == 0 {
                         return None;
                     }
-                    let idx = match k.policy {
-                        SchedPolicy::Lifo => len - 1,
-                        _ => (k.next_sched_rand() % len as u64) as usize,
-                    };
-                    k.local_ready.remove(idx)
+                    let idx = self.kernel.borrow_mut().next_sched_rand() % len as u64;
+                    st.fifo.remove(idx as usize)
                 }
             };
             let (slot, gen) = entry?;
-            let Some(s) = k.slab.get(slot as usize) else {
-                continue;
-            };
+            let s = &mut st.slots[slot as usize];
             if s.gen != gen {
                 continue; // completed (slot freed or reused); spurious wake
             }
-            if let Some(w) = &s.wake {
-                w.queued.store(false, Ordering::Release);
-            }
+            s.queued = false;
             return Some((slot, gen));
         }
     }
@@ -677,28 +855,26 @@ impl Sim {
     /// via a calendar entry that many virtual ns from now. Each wake is
     /// deferred at most once (the `deferred` mark is consumed on the next
     /// pick), so a task is never pushed back indefinitely.
-    fn maybe_defer(&self, slot: u32) -> bool {
-        let (delay, wake) = {
+    fn maybe_defer(&self, entry: WakeEntry) -> bool {
+        let SchedPolicy::WakeDelay { max_delay_ns, .. } = self.policy else {
+            return false;
+        };
+        let delay = {
             let mut k = self.kernel.borrow_mut();
-            let SchedPolicy::WakeDelay { max_delay_ns, .. } = k.policy else {
-                return false;
-            };
-            if k.slab[slot as usize].deferred {
-                k.slab[slot as usize].deferred = false;
+            let slot = entry.0 as usize;
+            if k.slab[slot].deferred {
+                k.slab[slot].deferred = false;
                 return false;
             }
             let d = k.next_sched_rand() % (max_delay_ns + 1);
             if d == 0 {
                 return false;
             }
-            let s = &mut k.slab[slot as usize];
-            s.deferred = true;
-            let wake = Arc::clone(s.wake.as_ref().expect("live slot has wake state"));
-            (SimDuration::from_nanos(d), wake)
+            k.slab[slot].deferred = true;
+            SimDuration::from_nanos(d)
         };
-        self.schedule_after(delay, move || {
-            wake.enqueue();
-        });
+        let wakeup = Wakeup::Task(Rc::clone(&self.ready), entry);
+        self.schedule_after(delay, move || wakeup.wake());
         true
     }
 
@@ -706,24 +882,26 @@ impl Sim {
     /// spawn) until the queue drains at this instant.
     fn poll_ready(&self) {
         while let Some((slot, gen)) = self.next_ready() {
-            if self.maybe_defer(slot) {
+            if self.maybe_defer((slot, gen)) {
                 continue;
             }
-            let (mut fut, waker, id) = {
+            let (mut fut, waker, ordinal) = {
                 let mut k = self.kernel.borrow_mut();
                 let s = &mut k.slab[slot as usize];
                 let Some(fut) = s.fut.take() else {
                     continue; // spurious wake between pick and poll
                 };
-                let waker = s.waker.clone().expect("live slot has cached waker");
-                let id = TaskId {
-                    slot,
-                    gen,
-                    ordinal: s.ordinal,
-                };
-                (fut, waker, id)
+                let waker = s.waker.take().expect("live slot has cached waker");
+                (fut, waker, s.ordinal)
             };
+            let id = TaskId { slot, gen, ordinal };
             let mut cx = Context::from_waker(&waker);
+            // Kernel waiters polled under this waker record the task's
+            // handle instead of cloning the waker.
+            let outer = self
+                .ready
+                .polling
+                .replace(Some((waker.data(), (slot, gen))));
             // Attribute spans opened during the poll to this task, and
             // record the poll itself as a parentless leaf span (zero sim
             // duration — polls never advance the clock; parentless
@@ -735,24 +913,27 @@ impl Sim {
                 self.obs.span_end(s);
             }
             self.obs.set_current_task(None);
+            self.ready.polling.set(outer);
             match polled {
                 Poll::Ready(()) => {
-                    let mut k = self.kernel.borrow_mut();
-                    let s = &mut k.slab[slot as usize];
-                    s.gen = s.gen.wrapping_add(1);
-                    s.wake = None;
-                    s.waker = None;
-                    s.deferred = false;
-                    k.free_slots.push(slot);
-                    k.live -= 1;
+                    drop(waker);
+                    {
+                        let mut k = self.kernel.borrow_mut();
+                        k.slab[slot as usize].deferred = false;
+                        k.free_slots.push(slot);
+                        k.live -= 1;
+                    }
+                    self.ready.retire(slot);
                     if self.obs.is_enabled() {
-                        drop(k);
                         self.obs
                             .instant("executor", &format!("done t{}", id.as_u64()));
                     }
                 }
                 Poll::Pending => {
-                    self.kernel.borrow_mut().slab[slot as usize].fut = Some(fut);
+                    let mut k = self.kernel.borrow_mut();
+                    let s = &mut k.slab[slot as usize];
+                    s.fut = Some(fut);
+                    s.waker = Some(waker);
                 }
             }
         }
@@ -813,9 +994,8 @@ impl Future for Sleep {
                 return Poll::Ready(());
             }
             match &mut timers.slots[self.key.slot as usize].state {
-                TimerState::Wake(w) if w.as_ref().is_some_and(|w| w.will_wake(cx.waker())) => None,
-                TimerState::Wake(w) => w.replace(cx.waker().clone()),
-                _ => unreachable!("a sleep's slot holds a waker"),
+                TimerState::Wake(w) => w.replace(Wakeup::of(cx)),
+                _ => unreachable!("a sleep's slot holds a wakeup"),
             }
         };
         drop(replaced);
@@ -825,8 +1005,8 @@ impl Future for Sleep {
 
 impl Drop for Sleep {
     fn drop(&mut self) {
-        let waker = self.timers.borrow_mut().disarm(self.key);
-        drop(waker);
+        let wakeup = self.timers.borrow_mut().disarm(self.key);
+        drop(wakeup);
     }
 }
 
@@ -1098,8 +1278,7 @@ mod tests {
     /// pushed another queue entry, so a 10k-wake storm between polls
     /// polled the task 10k times (and grew the queue without bound).
     /// With the per-task dedup flag the storm coalesces into exactly one
-    /// poll — and only the first wake of the storm touches the mailbox
-    /// mutex at all.
+    /// poll — and only the first wake of the storm enqueues anything.
     #[test]
     fn wake_storm_between_polls_coalesces_to_one_poll() {
         let sim = Sim::new();

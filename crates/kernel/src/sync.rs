@@ -11,7 +11,9 @@ use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
+
+use crate::executor::Wakeup;
 
 // ---------------------------------------------------------------------------
 // Semaphore
@@ -21,7 +23,7 @@ struct SemWaiter {
     n: usize,
     granted: Cell<bool>,
     cancelled: Cell<bool>,
-    waker: RefCell<Option<Waker>>,
+    waker: RefCell<Option<Wakeup>>,
 }
 
 struct SemInner {
@@ -148,7 +150,7 @@ impl Future for Acquire {
                     n: this.n,
                 });
             }
-            *w.waker.borrow_mut() = Some(cx.waker().clone());
+            *w.waker.borrow_mut() = Some(Wakeup::of(cx));
             return Poll::Pending;
         }
         let inner = &this.sem.inner;
@@ -163,7 +165,7 @@ impl Future for Acquire {
             n: this.n,
             granted: Cell::new(false),
             cancelled: Cell::new(false),
-            waker: RefCell::new(Some(cx.waker().clone())),
+            waker: RefCell::new(Some(Wakeup::of(cx))),
         });
         inner.waiters.borrow_mut().push_back(Rc::clone(&waiter));
         this.waiter = Some(waiter);
@@ -279,7 +281,7 @@ struct PrioWaiter {
     class: AdmissionClass,
     granted: Cell<bool>,
     cancelled: Cell<bool>,
-    waker: RefCell<Option<Waker>>,
+    waker: RefCell<Option<Wakeup>>,
 }
 
 struct PrioInner {
@@ -466,7 +468,7 @@ impl Future for PrioAcquire {
                     n: this.n,
                 });
             }
-            *w.waker.borrow_mut() = Some(cx.waker().clone());
+            *w.waker.borrow_mut() = Some(Wakeup::of(cx));
             return Poll::Pending;
         }
         let inner = &this.sem.inner;
@@ -507,7 +509,7 @@ impl Future for PrioAcquire {
                 n: this.n,
             });
         }
-        *waiter.waker.borrow_mut() = Some(cx.waker().clone());
+        *waiter.waker.borrow_mut() = Some(Wakeup::of(cx));
         this.waiter = Some(waiter);
         Poll::Pending
     }
@@ -553,7 +555,7 @@ struct BarrierInner {
     parties: usize,
     arrived: Cell<usize>,
     generation: Cell<u64>,
-    wakers: RefCell<Vec<Waker>>,
+    wakers: RefCell<Vec<Wakeup>>,
 }
 
 /// An MPI-style reusable barrier for `parties` tasks.
@@ -629,11 +631,7 @@ impl Future for BarrierWait {
         if self.barrier.inner.generation.get() > self.generation {
             Poll::Ready(())
         } else {
-            self.barrier
-                .inner
-                .wakers
-                .borrow_mut()
-                .push(cx.waker().clone());
+            self.barrier.inner.wakers.borrow_mut().push(Wakeup::of(cx));
             Poll::Pending
         }
     }
@@ -645,7 +643,7 @@ impl Future for BarrierWait {
 
 struct OneshotInner<T> {
     value: RefCell<Option<T>>,
-    waker: RefCell<Option<Waker>>,
+    waker: RefCell<Option<Wakeup>>,
 }
 
 /// Creates a one-shot completion pair.
@@ -685,7 +683,7 @@ impl<T> Future for OneshotReceiver<T> {
         if let Some(v) = self.inner.value.borrow_mut().take() {
             Poll::Ready(v)
         } else {
-            *self.inner.waker.borrow_mut() = Some(cx.waker().clone());
+            *self.inner.waker.borrow_mut() = Some(Wakeup::of(cx));
             Poll::Pending
         }
     }
@@ -697,7 +695,7 @@ impl<T> Future for OneshotReceiver<T> {
 
 struct ChannelInner<T> {
     queue: RefCell<VecDeque<T>>,
-    waker: RefCell<Option<Waker>>,
+    waker: RefCell<Option<Wakeup>>,
     senders: Cell<usize>,
 }
 
@@ -776,7 +774,7 @@ impl<T> Future for Recv<'_, T> {
         if inner.senders.get() == 0 {
             return Poll::Ready(None);
         }
-        *inner.waker.borrow_mut() = Some(cx.waker().clone());
+        *inner.waker.borrow_mut() = Some(Wakeup::of(cx));
         Poll::Pending
     }
 }
@@ -995,7 +993,7 @@ impl<F: Future> Future for Timeout<F> {
 
 struct WaitGroupInner {
     count: Cell<usize>,
-    wakers: RefCell<Vec<Waker>>,
+    wakers: RefCell<Vec<Wakeup>>,
 }
 
 /// Counts outstanding work; `wait` resolves when the count reaches zero.
@@ -1070,7 +1068,7 @@ impl Future for WaitGroupWait {
         if self.inner.count.get() == 0 {
             Poll::Ready(())
         } else {
-            self.inner.wakers.borrow_mut().push(cx.waker().clone());
+            self.inner.wakers.borrow_mut().push(Wakeup::of(cx));
             Poll::Pending
         }
     }
@@ -1082,6 +1080,7 @@ mod tests {
     use crate::executor::Sim;
     use crate::time::{SimDuration, SimTime};
     use std::rc::Rc;
+    use std::task::Waker;
 
     #[test]
     fn semaphore_serializes_fifo() {

@@ -411,9 +411,22 @@ pub fn cmd_failure_drill(
         kv_class: ObjectClass::RP2,
         ..Default::default()
     };
+    // A fault after the last scheduled operation has no I/O left to
+    // disturb, and the timeline (one row per 50 ms) would run on to it.
+    let horizon = trace.entries.last().map_or(0, |e| e.t_ns);
+    let within = |flag: &str, ms: u64| {
+        let at = millis(flag, ms)?;
+        if at.as_nanos() > horizon {
+            return Err(ToolError::BadArgs(format!(
+                "{flag} {ms} is past the trace's last operation at {} ms",
+                horizon / 1_000_000
+            )));
+        }
+        Ok(at)
+    };
     let plan = FaultPlan::new()
-        .kill_and_rebuild(millis("--kill-ms", kill_ms)?, 0)
-        .restart(millis("--restart-ms", restart_ms)?, 0);
+        .kill_and_rebuild(within("--kill-ms", kill_ms)?, 0)
+        .restart(within("--restart-ms", restart_ms)?, 0);
     let out = replay(spec, fieldio, &trace, Pacing::Paced, Some(&plan));
     let bucket = SimDuration::from_millis(50);
     let end = SimTime::from_nanos((out.stats.end_secs * 1e9) as u64);
@@ -689,6 +702,33 @@ mod tests {
         assert!(matches!(
             cmd_failure_drill(&a.0, 1, 2, 59, u64::MAX),
             Err(ToolError::BadArgs(m)) if m.contains("--restart-ms")
+        ));
+    }
+
+    /// A restart long after the trace ends used to stretch the timeline
+    /// with a zero row per 50 ms up to it (2,004 rows at 100,000 ms on
+    /// the default trace) and report its instant as the run's total. An
+    /// instant past the trace's last operation is now rejected by name.
+    #[test]
+    fn failure_drill_rejects_faults_past_the_trace() {
+        let a = TempArchive::new("drill-horizon");
+        cmd_synth_trace(&a.0, 4, 3, 2, 1, 60).unwrap();
+        let last_ms = {
+            let text = fs::read_to_string(&a.0).unwrap();
+            Trace::from_csv(&text).unwrap().entries.last().unwrap().t_ns / 1_000_000
+        };
+        assert!(matches!(
+            cmd_failure_drill(&a.0, 1, 2, 59, 100_000),
+            Err(ToolError::BadArgs(m)) if m.contains("--restart-ms 100000")
+        ));
+        assert!(matches!(
+            cmd_failure_drill(&a.0, 1, 2, 100_000, 100_001),
+            Err(ToolError::BadArgs(m)) if m.contains("--kill-ms 100000")
+        ));
+        // A restart at the last operation is still a drill.
+        assert!(matches!(
+            cmd_failure_drill(&a.0, 1, 2, 59, last_ms),
+            Ok(Outcome::Drilled { .. })
         ));
     }
 
