@@ -19,7 +19,6 @@
 //! is testable end-to-end under the timing model.
 
 use std::rc::Rc;
-use std::sync::Arc;
 
 use bytes::Bytes;
 use daosim_kernel::sync::{join2, join_all, timeout, AdmissionClass, Elapsed};
@@ -167,13 +166,7 @@ impl ClientMetrics {
 #[derive(Clone)]
 pub struct SimCont {
     pub uuid: Uuid,
-    cont: Arc<Container>,
-}
-
-impl SimCont {
-    pub fn container(&self) -> &Arc<Container> {
-        &self.cont
-    }
+    cont: Rc<Container>,
 }
 
 /// How one shard of an op is served at its target ([`SimClient::serve`]).
@@ -438,16 +431,9 @@ impl SimClient {
                 let engine = self.d.engine_of_target(primary.target);
                 self.engine_serial(engine, self.cont_table_cost()).await;
             }
-            // Held locks release in acquisition order.
-            let mut held = (None, Vec::new());
-            for &chunk in chunks {
-                let lock = self.d.obj_lock(cont.uuid, oid, chunk);
-                let guard = lock.acquire_one(self.lane()).await;
-                match held.0 {
-                    None => held.0 = Some(guard),
-                    Some(_) => held.1.push(guard),
-                }
-            }
+            let _held = (self.d)
+                .lock_regions(cont.uuid, oid, chunks, self.lane())
+                .await;
             let _os = span.map(|name| self.d.sim.span("objstore", name));
             if let Some(cost) = serial {
                 self.d.sim.sleep(cost).await;

@@ -3,24 +3,23 @@
 //! A deployment wires together the fabric (raw network), per-engine and
 //! per-client-socket *stack links* (software processing capacities), the
 //! per-target FIFO service queues with their SCM media shares, the pool
-//! metadata service, and the backing [`DaosStore`] that holds real data.
+//! metadata service, and the backing [`Pool`] that holds real data.
 //! Everything timed lives here; the [`crate::client::SimClient`] composes
 //! these pieces into DAOS operations.
 
 use std::cell::{Cell, RefCell};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use std::fmt;
 
-use daosim_kernel::sync::{AdmissionClass, AdmissionPolicy, PrioritySemaphore};
+use daosim_kernel::sync::{AdmissionClass, AdmissionPolicy, PrioPermit, PrioritySemaphore};
 use daosim_kernel::Sim;
 use daosim_media::{MediaConfigError, MediaTally, TierPolicy, TieredMedia};
 use daosim_net::{Endpoint, Fabric, FabricSpec, LinkId, ProviderProfile, RouteId};
 use daosim_objstore::prelude::{Oid, Uuid};
-use daosim_objstore::store::DEFAULT_POOL_CAPACITY;
-use daosim_objstore::{DaosStore, Pool};
+use daosim_objstore::{Pool, DEFAULT_POOL_CAPACITY};
 
 use crate::calibration::Calibration;
 use crate::client::ClientMetrics;
@@ -274,6 +273,38 @@ struct ClientSocket {
     routes: RefCell<Vec<Option<RouteId>>>,
 }
 
+/// The object-region update locks one op section holds, from
+/// [`Deployment::lock_regions`]. Dropping it (at the section's end, or
+/// when a timeout cancels the attempt) releases them in acquisition
+/// order, then drops each lock left idle from the deployment's table, so
+/// the table holds only locks in use.
+pub(crate) struct ObjLocks<'a> {
+    d: &'a Deployment,
+    cont: Uuid,
+    oid: Oid,
+    regions: &'a [u64],
+    /// The first permit, inline: a one-region section (every KV op)
+    /// allocates nothing.
+    first: Option<PrioPermit>,
+    rest: Vec<PrioPermit>,
+}
+
+impl Drop for ObjLocks<'_> {
+    fn drop(&mut self) {
+        self.first = None;
+        self.rest.clear();
+        let mut locks = self.d.obj_locks.borrow_mut();
+        for &region in self.regions {
+            if let Entry::Occupied(lock) = locks.entry((self.cont, self.oid, region)) {
+                if lock.get().is_idle() {
+                    let retired = &self.d.retired_aged_grants;
+                    retired.set(retired.get() + lock.remove().aged_grants());
+                }
+            }
+        }
+    }
+}
+
 /// A deployed cluster. Obtain one per simulation via [`Deployment::new`].
 pub struct Deployment {
     pub sim: Sim,
@@ -282,13 +313,15 @@ pub struct Deployment {
     pub engines: Vec<Engine>,
     /// Stack links per (client node index, socket).
     client_sockets: Vec<Vec<ClientSocket>>,
-    pub store: Arc<DaosStore>,
-    pub pool: Arc<Pool>,
+    pub pool: Rc<Pool>,
     /// The pool metadata service (container create/open), a serial queue
     /// hosted by engine 0.
     pub pool_md: PrioritySemaphore,
-    /// Lazily materialised per-object-region update locks.
+    /// Lazily materialised per-object-region update locks; a lock left
+    /// idle is dropped when its holder releases it ([`ObjLocks`]).
     obj_locks: RefCell<HashMap<(Uuid, Oid, u64), PrioritySemaphore>>,
+    /// Aging grants of the object locks dropped so far.
+    retired_aged_grants: Cell<u64>,
     /// Pool-map overrides installed by rebuild: dead target → survivor.
     target_remap: RefCell<HashMap<u32, u32>>,
     /// Retry/timeout/failover/fault counters (see [`crate::fault`]).
@@ -368,14 +401,11 @@ impl Deployment {
             })
             .collect();
 
-        let store = Arc::new(DaosStore::new());
-        let pool = store
-            .pool_create(
-                Uuid::from_name(b"daosim-pool"),
-                spec.pool_targets(),
-                DEFAULT_POOL_CAPACITY,
-            )
-            .expect("fresh store");
+        let pool = Rc::new(Pool::new(
+            Uuid::from_name(b"daosim-pool"),
+            spec.pool_targets(),
+            DEFAULT_POOL_CAPACITY,
+        ));
 
         Ok(Rc::new(Deployment {
             sim: sim.clone(),
@@ -383,10 +413,10 @@ impl Deployment {
             fabric,
             engines,
             client_sockets,
-            store,
             pool,
             pool_md: PrioritySemaphore::new(1, spec.admission),
             obj_locks: RefCell::new(HashMap::new()),
+            retired_aged_grants: Cell::new(0),
             target_remap: RefCell::new(HashMap::new()),
             resilience: ResilienceStats::new(sim.obs().metrics()),
             client_metrics: ClientMetrics::new(sim.obs().metrics()),
@@ -486,6 +516,33 @@ impl Deployment {
             .entry((cont, oid, region))
             .or_insert_with(|| PrioritySemaphore::new(1, self.spec.admission))
             .clone()
+    }
+
+    /// Acquires the update locks of `regions` of object `oid` in order,
+    /// in `lane`. The returned guard releases them ([`ObjLocks`]).
+    pub(crate) async fn lock_regions<'a>(
+        &'a self,
+        cont: Uuid,
+        oid: Oid,
+        regions: &'a [u64],
+        lane: AdmissionClass,
+    ) -> ObjLocks<'a> {
+        let mut held = ObjLocks {
+            d: self,
+            cont,
+            oid,
+            regions,
+            first: None,
+            rest: Vec::new(),
+        };
+        for &region in regions {
+            let permit = self.obj_lock(cont, oid, region).acquire_one(lane).await;
+            match held.first {
+                None => held.first = Some(permit),
+                Some(_) => held.rest.push(permit),
+            }
+        }
+        held
     }
 
     /// Installs a pool-map override: I/O addressed to `from` lands on
@@ -646,6 +703,7 @@ impl Deployment {
             total += e.meta.aged_grants();
             total += e.targets.iter().map(|t| t.sem.aged_grants()).sum::<u64>();
         }
+        total += self.retired_aged_grants.get();
         total += self
             .obj_locks
             .borrow()
@@ -844,6 +902,47 @@ mod tests {
             AdmissionPolicy::writer_priority()
         );
         assert_eq!(d.aged_grants(), 0, "no traffic yet");
+    }
+
+    #[test]
+    fn idle_obj_locks_are_dropped_and_keep_their_aged_grants() {
+        use crate::client::{QosClass, SimClient};
+        use bytes::Bytes;
+        use daosim_objstore::prelude::{DaosApi, ObjectClass};
+        // Four writers and eight readers contend on one KV object under
+        // writer priority, so its lock ages readers in.
+        let sim = Sim::new();
+        let mut spec = ClusterSpec::tcp(1, 1);
+        spec.admission = AdmissionPolicy::writer_priority();
+        let d = Deployment::new(&sim, spec);
+        for rank in 0..12u32 {
+            let qos = if rank < 4 {
+                QosClass::Writer
+            } else {
+                QosClass::Reader
+            };
+            let c = SimClient::for_process(&d, 0, rank).with_qos(qos);
+            sim.spawn(async move {
+                let cont = c.cont_open_or_create(Uuid::from_name(b"c")).await.unwrap();
+                let kv = Oid::generate(0, 1, ObjectClass::SX);
+                for step in 0..16u32 {
+                    let key = format!("{rank}/{step}");
+                    if qos == QosClass::Writer {
+                        let v = Bytes::from_static(b"v");
+                        c.kv_put(&cont, kv, key.as_bytes(), v).await.unwrap();
+                    } else {
+                        c.kv_get(&cont, kv, b"0/0").await.unwrap();
+                    }
+                }
+            });
+        }
+        sim.run().expect_quiescent();
+        assert!(d.obj_locks.borrow().is_empty(), "idle locks were kept");
+        assert_eq!(
+            d.aged_grants(),
+            15,
+            "the sum before idle locks were dropped"
+        );
     }
 
     #[test]

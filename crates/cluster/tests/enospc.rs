@@ -10,7 +10,7 @@ use bytes::Bytes;
 use daosim_cluster::{ClusterSpec, Deployment, ScmSpec, SimClient};
 use daosim_kernel::Sim;
 use daosim_objstore::prelude::{DaosApi, DaosError, EmbeddedClient, ObjectClass, Oid, Uuid};
-use daosim_objstore::DaosStore;
+use daosim_objstore::Pool;
 use proptest::prelude::*;
 
 /// The embedded backend never actually suspends; poll once.
@@ -35,10 +35,7 @@ proptest! {
         capacity_kib in 1u64..32,
         chunk in 1usize..4096,
     ) {
-        let store = DaosStore::new();
-        let pool = store
-            .pool_create(Uuid::from_name(b"tiny"), 4, capacity_kib * 1024)
-            .unwrap();
+        let pool = Rc::new(Pool::new(Uuid::from_name(b"tiny"), 4, capacity_kib * 1024));
         let client = EmbeddedClient::new(pool);
         let errors = block_on(async {
             let cont = client.cont_open_or_create(Uuid::from_name(b"c")).await.unwrap();

@@ -294,9 +294,10 @@ impl IndexEntry {
 /// use daosim_core::fieldio::{FieldIoConfig, FieldStore};
 /// use daosim_core::key::FieldKey;
 /// use daosim_kernel::Sim;
-/// use daosim_objstore::{DaosStore, EmbeddedClient};
+/// use daosim_objstore::{EmbeddedClient, Pool, Uuid, DEFAULT_POOL_CAPACITY};
+/// use std::rc::Rc;
 ///
-/// let (_store, pool) = DaosStore::with_single_pool(24);
+/// let pool = Rc::new(Pool::new(Uuid::NIL, 24, DEFAULT_POOL_CAPACITY));
 /// Sim::new().block_on(async move {
 ///     let fs = FieldStore::connect(EmbeddedClient::new(pool), FieldIoConfig::default(), 1)
 ///         .await
@@ -1050,7 +1051,8 @@ impl<D: DaosApi> PipelinedWriter<'_, D> {
 mod tests {
     use super::*;
     use daosim_objstore::prelude::EmbeddedClient;
-    use daosim_objstore::DaosStore;
+    use daosim_objstore::{Pool, DEFAULT_POOL_CAPACITY};
+    use std::rc::Rc;
 
     fn block_on<F: std::future::Future>(fut: F) -> F::Output {
         let waker = std::task::Waker::noop();
@@ -1075,7 +1077,7 @@ mod tests {
     }
 
     fn store(mode: FieldIoMode) -> FieldStore<EmbeddedClient> {
-        let (_s, pool) = DaosStore::with_single_pool(24);
+        let pool = Rc::new(Pool::new(Uuid::NIL, 24, DEFAULT_POOL_CAPACITY));
         let client = EmbeddedClient::new(pool);
         block_on(FieldStore::connect(
             client,
@@ -1286,7 +1288,7 @@ mod tests {
     fn concurrent_processes_share_forecast_containers() {
         // Two processes (two FieldStores over the same pool) writing the
         // same forecast agree on container identity via md5 naming.
-        let (_s, pool) = DaosStore::with_single_pool(24);
+        let pool = Rc::new(Pool::new(Uuid::NIL, 24, DEFAULT_POOL_CAPACITY));
         let fs1 = block_on(FieldStore::connect(
             EmbeddedClient::new(pool.clone()),
             FieldIoConfig::builder().mode(FieldIoMode::Full).build(),
@@ -1337,10 +1339,7 @@ mod tests {
     fn errors_carry_operation_and_key_context() {
         // Writing into an exhausted pool surfaces a contextualised DAOS
         // error naming the failing op and the field key.
-        let store = DaosStore::new();
-        let pool = store
-            .pool_create(Uuid::from_name(b"tiny"), 4, 4096)
-            .unwrap();
+        let pool = Rc::new(Pool::new(Uuid::from_name(b"tiny"), 4, 4096));
         let fs = block_on(FieldStore::connect(
             EmbeddedClient::new(pool),
             FieldIoConfig::default(),
@@ -1417,10 +1416,7 @@ mod tests {
     fn pipelined_writer_reports_write_behind_errors() {
         // A pool too small for the field: the failure surfaces on flush
         // (write-behind), attributed to write_field with its key.
-        let store = DaosStore::new();
-        let pool = store
-            .pool_create(Uuid::from_name(b"tiny-pipelined"), 4, 4096)
-            .unwrap();
+        let pool = Rc::new(Pool::new(Uuid::from_name(b"tiny-pipelined"), 4, 4096));
         let fs = block_on(FieldStore::connect(
             EmbeddedClient::new(pool),
             FieldIoConfig::default(),

@@ -12,7 +12,6 @@
 use std::rc::Rc;
 
 use bytes::Bytes;
-use serde::Serialize;
 
 use daosim_cluster::{ClusterSpec, Deployment, SimClient};
 use daosim_kernel::sync::channel;
@@ -74,7 +73,7 @@ impl IoServerConfig {
 }
 
 /// Outcome of a pipeline run.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct IoServerResult {
     /// Storage-side write statistics (I/O-server perspective).
     pub storage: PhaseStats,

@@ -17,10 +17,9 @@ use std::rc::Rc;
 
 use daosim_kernel::{SimDuration, SimTime};
 use daosim_net::GIB;
-use serde::Serialize;
 
 /// The event names of §5.5.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum EventKind {
     ExecStart,
     IoStart,
@@ -35,7 +34,7 @@ pub enum EventKind {
 }
 
 /// One timestamped benchmark event.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct EventRecord {
     pub node: u16,
     pub process: u32,
@@ -111,7 +110,7 @@ pub fn events_to_csv(events: &[EventRecord]) -> String {
 }
 
 /// Derived statistics for one benchmark phase.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PhaseStats {
     pub total_bytes: u64,
     pub io_count: usize,
@@ -199,7 +198,7 @@ pub fn global_timing_bandwidth(events: &[EventRecord]) -> Option<f64> {
 /// nearest-rank definition (p-th percentile = value at 1-based rank
 /// `ceil(p·n)`), so small samples report an observed latency rather than
 /// rounding up to the max.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LatencyStats {
     pub count: usize,
     /// Operations whose `IoStart` or `IoEnd` had no partner event —
@@ -263,7 +262,7 @@ pub fn latency_stats(events: &[EventRecord]) -> Option<LatencyStats> {
 }
 
 /// One bucket of a bandwidth-over-time breakdown.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TimelineBucket {
     /// Bucket start, nanoseconds since simulation start.
     pub t_ns: u64,

@@ -15,8 +15,6 @@
 
 use std::rc::Rc;
 
-use serde::Serialize;
-
 use daosim_cluster::{ClusterSpec, Deployment, SimClient};
 use daosim_kernel::sync::channel;
 use daosim_kernel::Sim;
@@ -45,7 +43,7 @@ impl PatternConfig {
 }
 
 /// Outcome of one pattern run.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PatternResult {
     pub write: PhaseStats,
     pub read: PhaseStats,

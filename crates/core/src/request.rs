@@ -168,7 +168,8 @@ mod tests {
     use super::*;
     use crate::fieldio::FieldIoConfig;
     use daosim_objstore::prelude::EmbeddedClient;
-    use daosim_objstore::DaosStore;
+    use daosim_objstore::{Pool, Uuid, DEFAULT_POOL_CAPACITY};
+    use std::rc::Rc;
 
     fn block_on<F: std::future::Future>(fut: F) -> F::Output {
         let waker = std::task::Waker::noop();
@@ -229,7 +230,7 @@ mod tests {
 
     #[test]
     fn retrieve_partitions_found_and_missing() {
-        let (_s, pool) = DaosStore::with_single_pool(24);
+        let pool = Rc::new(Pool::new(Uuid::NIL, 24, DEFAULT_POOL_CAPACITY));
         let fs = block_on(FieldStore::connect(
             EmbeddedClient::new(pool),
             FieldIoConfig::default(),

@@ -11,8 +11,6 @@
 
 use std::rc::Rc;
 
-use serde::Serialize;
-
 use daosim_cluster::{ClusterSpec, Deployment, FaultPlan, ResilienceReport, SimClient};
 use daosim_kernel::sync::WaitGroup;
 use daosim_kernel::{MetricsSnapshot, Sim, SimDuration, SimTime, SpanEvent};
@@ -238,7 +236,7 @@ pub enum Pacing {
 /// Resilience counters for one replay: what the retry machinery did, plus
 /// how many trace operations failed outright (exhausted retries or hit a
 /// permanent error).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ResilienceCounters {
     pub retries: u64,
     pub timeouts: u64,
@@ -264,7 +262,7 @@ impl ResilienceCounters {
 }
 
 /// Outcome of a trace replay.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ReplayStats {
     pub writes: PhaseStats,
     pub reads: PhaseStats,

@@ -9,10 +9,11 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::rc::Rc;
 
 use daosim_core::cycle::{cycle_key, IndexLayout};
 use daosim_core::key::KeySchema;
-use daosim_objstore::{DaosStore, EmbeddedClient, EventQueue, OpOutput};
+use daosim_objstore::{EmbeddedClient, EventQueue, OpOutput, Pool, Uuid, DEFAULT_POOL_CAPACITY};
 
 struct Counting;
 
@@ -80,7 +81,7 @@ fn canonical_text_allocates_nothing() {
 
 #[test]
 fn submitting_a_ready_future_boxes_once() {
-    let (_store, pool) = DaosStore::with_single_pool(24);
+    let pool = Rc::new(Pool::new(Uuid::NIL, 24, DEFAULT_POOL_CAPACITY));
     let eq = EventQueue::new(EmbeddedClient::new(pool));
     let submit_and_harvest = || {
         let before = allocs();

@@ -894,7 +894,8 @@ impl<D: DaosApi> DfsWriter<'_, D> {
 mod tests {
     use super::*;
     use daosim_objstore::prelude::EmbeddedClient;
-    use daosim_objstore::DaosStore;
+    use daosim_objstore::{Pool, DEFAULT_POOL_CAPACITY};
+    use std::rc::Rc;
 
     fn block_on<F: std::future::Future>(fut: F) -> F::Output {
         // The embedded backend never actually suspends; poll once.
@@ -908,7 +909,7 @@ mod tests {
     }
 
     fn dfs() -> DfsHandle<EmbeddedClient> {
-        let (_store, pool) = DaosStore::with_single_pool(8);
+        let pool = Rc::new(Pool::new(Uuid::NIL, 8, DEFAULT_POOL_CAPACITY));
         let client = EmbeddedClient::new(pool);
         block_on(DfsHandle::mount(client, Uuid::from_name(b"dfs-test"), 1)).unwrap()
     }
@@ -1146,7 +1147,7 @@ mod tests {
 
     #[test]
     fn racing_mounts_share_one_superblock() {
-        let (_store, pool) = DaosStore::with_single_pool(8);
+        let pool = Rc::new(Pool::new(Uuid::NIL, 8, DEFAULT_POOL_CAPACITY));
         let uuid = Uuid::from_name(b"dfs-race");
         let c1 = EmbeddedClient::new(pool.clone());
         let c2 = EmbeddedClient::new(pool);

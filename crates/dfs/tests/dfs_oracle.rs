@@ -7,11 +7,12 @@
 //! replace/cycle rules) to an executable specification.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use daosim_dfs::{canonical, normalize, DfsError, DfsHandle, FileKind};
 use daosim_objstore::prelude::{EmbeddedClient, Uuid};
-use daosim_objstore::DaosStore;
+use daosim_objstore::{Pool, DEFAULT_POOL_CAPACITY};
 use proptest::prelude::*;
 
 fn block_on<F: std::future::Future>(fut: F) -> F::Output {
@@ -302,7 +303,7 @@ fn dfs_obs<T>(label: &str, r: Result<T, DfsError>, ok: impl FnOnce(T) -> String)
 }
 
 fn run_program(ops: &[Op]) {
-    let (_store, pool) = DaosStore::with_single_pool(16);
+    let pool = Rc::new(Pool::new(Uuid::NIL, 16, DEFAULT_POOL_CAPACITY));
     let client = EmbeddedClient::new(pool);
     let fs = block_on(DfsHandle::mount(client, Uuid::from_name(b"dfs-oracle"), 1))
         .expect("mount on a fresh pool");

@@ -2,10 +2,12 @@
 //! pool reports `DaosError::NoSpace` as a typed, permanent `DfsError`
 //! from both `write` and `close` — never a panic.
 
+use std::rc::Rc;
+
 use bytes::Bytes;
 use daosim_dfs::{DfsError, DfsHandle};
 use daosim_objstore::prelude::{DaosError, EmbeddedClient};
-use daosim_objstore::{DaosStore, Uuid};
+use daosim_objstore::{Pool, Uuid};
 use proptest::prelude::*;
 
 /// The embedded backend never actually suspends; poll once.
@@ -35,13 +37,10 @@ proptest! {
         capacity_kib in 2u64..32,
         chunk in 1usize..4096,
     ) {
-        let store = DaosStore::new();
         // The mount itself writes the superblock and root directory, so
         // the floor of 2 KiB keeps mount viable while writes still hit
         // the wall.
-        let pool = store
-            .pool_create(Uuid::from_name(b"tiny-dfs"), 4, capacity_kib * 1024)
-            .unwrap();
+        let pool = Rc::new(Pool::new(Uuid::from_name(b"tiny-dfs"), 4, capacity_kib * 1024));
         let client = EmbeddedClient::new(pool);
         let outcome = block_on(async {
             let fs = DfsHandle::mount(client, Uuid::from_name(b"enospc"), 1).await?;

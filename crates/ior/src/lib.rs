@@ -16,8 +16,6 @@
 
 use std::rc::Rc;
 
-use serde::Serialize;
-
 use daosim_cluster::{ClusterSpec, Deployment, SimClient};
 use daosim_core::metrics::{phase_stats, EventKind, PhaseStats, Recorder};
 use daosim_core::workload::payload;
@@ -98,7 +96,7 @@ impl IorParams {
 }
 
 /// Result of one IOR run (write phase then read phase).
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct IorResult {
     pub write: PhaseStats,
     pub read: PhaseStats,

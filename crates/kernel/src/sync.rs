@@ -1,6 +1,6 @@
 //! Synchronization primitives for simulated processes.
 //!
-//! These mirror the primitives the modelled systems rely on: FIFO
+//! These mirror the primitives the modelled systems rely on: admission
 //! semaphores (service queues at DAOS targets), barriers (MPI-style
 //! synchronization in IOR), one-shot completions and unbounded channels.
 //! All of them are single-threaded (`Rc`-based) and strictly FIFO, which
@@ -16,207 +16,14 @@ use std::task::{Context, Poll};
 use crate::executor::Wakeup;
 
 // ---------------------------------------------------------------------------
-// Semaphore
-// ---------------------------------------------------------------------------
-
-struct SemWaiter {
-    n: usize,
-    granted: Cell<bool>,
-    cancelled: Cell<bool>,
-    waker: RefCell<Option<Wakeup>>,
-}
-
-struct SemInner {
-    permits: Cell<usize>,
-    waiters: RefCell<VecDeque<Rc<SemWaiter>>>,
-}
-
-impl SemInner {
-    /// Hands permits to queued waiters in FIFO order. A large request at
-    /// the head blocks smaller ones behind it (no barging), which is the
-    /// behaviour wanted for modelling service queues.
-    fn drain(&self) {
-        loop {
-            let front = {
-                let waiters = self.waiters.borrow();
-                match waiters.front() {
-                    Some(w) if w.cancelled.get() => Some(None),
-                    Some(w) if w.n <= self.permits.get() => Some(Some(Rc::clone(w))),
-                    _ => None,
-                }
-            };
-            match front {
-                Some(Some(w)) => {
-                    self.waiters.borrow_mut().pop_front();
-                    self.permits.set(self.permits.get() - w.n);
-                    w.granted.set(true);
-                    if let Some(waker) = w.waker.borrow_mut().take() {
-                        waker.wake();
-                    }
-                }
-                Some(None) => {
-                    self.waiters.borrow_mut().pop_front();
-                }
-                None => break,
-            }
-        }
-    }
-}
-
-/// A FIFO counting semaphore.
-///
-/// ```
-/// use daosim_kernel::{Sim, SimDuration};
-/// use daosim_kernel::sync::Semaphore;
-///
-/// let sim = Sim::new();
-/// let sem = Semaphore::new(1); // a single-server service queue
-/// for _ in 0..3 {
-///     let (s, m) = (sim.clone(), sem.clone());
-///     sim.spawn(async move {
-///         let _permit = m.acquire_one().await;
-///         s.sleep(SimDuration::from_micros(10)).await; // service time
-///     });
-/// }
-/// // Three requests serialize: 30 us total.
-/// assert_eq!(sim.run().expect_quiescent().as_nanos(), 30_000);
-/// ```
-#[derive(Clone)]
-pub struct Semaphore {
-    inner: Rc<SemInner>,
-}
-
-impl Semaphore {
-    pub fn new(permits: usize) -> Self {
-        Semaphore {
-            inner: Rc::new(SemInner {
-                permits: Cell::new(permits),
-                waiters: RefCell::new(VecDeque::new()),
-            }),
-        }
-    }
-
-    pub fn available(&self) -> usize {
-        self.inner.permits.get()
-    }
-
-    /// Number of requests currently queued.
-    pub fn queue_len(&self) -> usize {
-        self.inner
-            .waiters
-            .borrow()
-            .iter()
-            .filter(|w| !w.cancelled.get())
-            .count()
-    }
-
-    /// Acquires `n` permits, waiting FIFO behind earlier requests. The
-    /// returned guard releases the permits when dropped.
-    pub fn acquire(&self, n: usize) -> Acquire {
-        Acquire {
-            sem: self.clone(),
-            n,
-            waiter: None,
-        }
-    }
-
-    /// Acquires a single permit.
-    pub fn acquire_one(&self) -> Acquire {
-        self.acquire(1)
-    }
-
-    fn release(&self, n: usize) {
-        self.inner.permits.set(self.inner.permits.get() + n);
-        self.inner.drain();
-    }
-}
-
-/// Future returned by [`Semaphore::acquire`].
-pub struct Acquire {
-    sem: Semaphore,
-    n: usize,
-    waiter: Option<Rc<SemWaiter>>,
-}
-
-impl Future for Acquire {
-    type Output = SemPermit;
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<SemPermit> {
-        let this = &mut *self;
-        if let Some(w) = &this.waiter {
-            if w.granted.get() {
-                this.waiter = None;
-                return Poll::Ready(SemPermit {
-                    sem: this.sem.clone(),
-                    n: this.n,
-                });
-            }
-            *w.waker.borrow_mut() = Some(Wakeup::of(cx));
-            return Poll::Pending;
-        }
-        let inner = &this.sem.inner;
-        if inner.waiters.borrow().is_empty() && inner.permits.get() >= this.n {
-            inner.permits.set(inner.permits.get() - this.n);
-            return Poll::Ready(SemPermit {
-                sem: this.sem.clone(),
-                n: this.n,
-            });
-        }
-        let waiter = Rc::new(SemWaiter {
-            n: this.n,
-            granted: Cell::new(false),
-            cancelled: Cell::new(false),
-            waker: RefCell::new(Some(Wakeup::of(cx))),
-        });
-        inner.waiters.borrow_mut().push_back(Rc::clone(&waiter));
-        this.waiter = Some(waiter);
-        Poll::Pending
-    }
-}
-
-impl Drop for Acquire {
-    fn drop(&mut self) {
-        if let Some(w) = self.waiter.take() {
-            if w.granted.get() {
-                // Granted but never observed: hand the permits back.
-                self.sem.release(self.n);
-            } else {
-                // Remove the queue slot immediately and re-drain: a
-                // cancelled waiter at the head (e.g. a big request whose
-                // retry timeout fired) must not keep blocking grantable
-                // waiters behind it until some unrelated release happens.
-                w.cancelled.set(true);
-                self.sem
-                    .inner
-                    .waiters
-                    .borrow_mut()
-                    .retain(|q| !Rc::ptr_eq(q, &w));
-                self.sem.inner.drain();
-            }
-        }
-    }
-}
-
-/// Permits held on a [`Semaphore`]; released on drop.
-pub struct SemPermit {
-    sem: Semaphore,
-    n: usize,
-}
-
-impl Drop for SemPermit {
-    fn drop(&mut self) {
-        self.sem.release(self.n);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // PrioritySemaphore
 // ---------------------------------------------------------------------------
 
 /// How a [`PrioritySemaphore`] picks the next waiter to admit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdmissionPolicy {
-    /// Strict arrival order across every class. Grant order (and therefore
-    /// simulated timing) is byte-identical to a plain [`Semaphore`].
+    /// Strict arrival order across every class: a plain FIFO counting
+    /// semaphore.
     #[default]
     Fifo,
     /// Urgent-class waiters (deadline-carrying writers) are admitted ahead
@@ -336,7 +143,7 @@ impl PrioInner {
 
     /// Hands permits to waiters in policy order. The selected head blocks
     /// smaller requests behind it (no barging within the grant order),
-    /// exactly like [`SemInner::drain`].
+    /// which is the behaviour wanted for modelling service queues.
     fn drain(&self) {
         loop {
             let Some((lane, w)) = self.pick() else { break };
@@ -374,11 +181,28 @@ impl PrioInner {
 /// queues.
 ///
 /// Under [`AdmissionPolicy::Fifo`] the grant order is global arrival
-/// order (unique `(class, seq)` tie-break), byte-identical to a plain
-/// [`Semaphore`]. Under [`AdmissionPolicy::WriterPriority`] urgent
+/// order (unique `(class, seq)` tie-break): a plain FIFO counting
+/// semaphore. Under [`AdmissionPolicy::WriterPriority`] urgent
 /// waiters go first, with an aging credit so normal waiters are never
 /// starved forever. Dropping a pending [`PrioAcquire`] (a cancelled
 /// retry attempt) removes its queue slot immediately and re-drains.
+///
+/// ```
+/// use daosim_kernel::{AdmissionClass, Sim, SimDuration};
+/// use daosim_kernel::sync::PrioritySemaphore;
+///
+/// let sim = Sim::new();
+/// let sem = PrioritySemaphore::fifo(1); // a single-server service queue
+/// for _ in 0..3 {
+///     let (s, m) = (sim.clone(), sem.clone());
+///     sim.spawn(async move {
+///         let _permit = m.acquire_one(AdmissionClass::Normal).await;
+///         s.sleep(SimDuration::from_micros(10)).await; // service time
+///     });
+/// }
+/// // Three requests serialize: 30 us total.
+/// assert_eq!(sim.run().expect_quiescent().as_nanos(), 30_000);
+/// ```
 #[derive(Clone)]
 pub struct PrioritySemaphore {
     inner: Rc<PrioInner>,
@@ -424,6 +248,14 @@ impl PrioritySemaphore {
     /// anti-starvation counter surfaced in QoS metrics.
     pub fn aged_grants(&self) -> u64 {
         self.inner.aged_grants.get()
+    }
+
+    /// This is the only handle (so no permit is held and no waiter is
+    /// queued, cancelled or not) and no aging credit is pending: a fresh
+    /// instance with the same permits and policy would grant exactly as
+    /// this one will. Owners of lazily created semaphores drop idle ones.
+    pub fn is_idle(&self) -> bool {
+        Rc::strong_count(&self.inner) == 1 && self.inner.credit.get() == 0
     }
 
     /// Acquires `n` permits in `class`'s lane. The returned guard
@@ -1085,14 +917,14 @@ mod tests {
     #[test]
     fn semaphore_serializes_fifo() {
         let sim = Sim::new();
-        let sem = Semaphore::new(1);
+        let sem = PrioritySemaphore::fifo(1);
         let log: Rc<RefCell<Vec<(u32, u64)>>> = Rc::default();
         for i in 0..4u32 {
             let (s, sem, log) = (sim.clone(), sem.clone(), Rc::clone(&log));
             sim.spawn(async move {
                 // Stagger arrivals so the queue order is well-defined.
                 s.sleep(SimDuration::from_nanos(i as u64)).await;
-                let _permit = sem.acquire_one().await;
+                let _permit = sem.acquire_one(AdmissionClass::Normal).await;
                 log.borrow_mut().push((i, s.now().as_nanos()));
                 s.sleep(SimDuration::from_nanos(100)).await;
             });
@@ -1110,11 +942,11 @@ mod tests {
     #[test]
     fn semaphore_multi_permit_no_barging() {
         let sim = Sim::new();
-        let sem = Semaphore::new(2);
+        let sem = PrioritySemaphore::fifo(2);
         let log: Rc<RefCell<Vec<&'static str>>> = Rc::default();
         let (s1, m1, l1) = (sim.clone(), sem.clone(), Rc::clone(&log));
         sim.spawn(async move {
-            let _p = m1.acquire(2).await;
+            let _p = m1.acquire(2, AdmissionClass::Normal).await;
             l1.borrow_mut().push("big-in");
             s1.sleep(SimDuration::from_nanos(50)).await;
             l1.borrow_mut().push("big-out");
@@ -1123,7 +955,7 @@ mod tests {
         sim.spawn(async move {
             s2.sleep(SimDuration::from_nanos(1)).await;
             // Queued behind nothing, but only 0 permits free until big-out.
-            let _p = m2.acquire(1).await;
+            let _p = m2.acquire(1, AdmissionClass::Normal).await;
             l2.borrow_mut().push("small");
         });
         sim.run().expect_quiescent();
@@ -1133,10 +965,10 @@ mod tests {
     #[test]
     fn semaphore_cancelled_waiter_is_skipped() {
         let sim = Sim::new();
-        let sem = Semaphore::new(0);
+        let sem = PrioritySemaphore::fifo(0);
         {
             // Create and immediately drop a pending acquire.
-            let mut acq = sem.acquire(1);
+            let mut acq = sem.acquire(1, AdmissionClass::Normal);
             let waker = Waker::noop();
             let mut cx = Context::from_waker(waker);
             assert!(Pin::new(&mut acq).poll(&mut cx).is_pending());
@@ -1145,7 +977,7 @@ mod tests {
         let hit: Rc<Cell<bool>> = Rc::default();
         let (m, h) = (sem.clone(), Rc::clone(&hit));
         sim.spawn(async move {
-            let _p = m.acquire_one().await;
+            let _p = m.acquire_one(AdmissionClass::Normal).await;
             h.set(true);
         });
         sem.release(1);
@@ -1159,15 +991,15 @@ mod tests {
         // dropped while queued; the waiter behind it must be admitted
         // without any further release() happening.
         let sim = Sim::new();
-        let sem = Semaphore::new(1);
-        let mut big = sem.acquire(2);
+        let sem = PrioritySemaphore::fifo(1);
+        let mut big = sem.acquire(2, AdmissionClass::Normal);
         let waker = Waker::noop();
         let mut cx = Context::from_waker(waker);
         assert!(Pin::new(&mut big).poll(&mut cx).is_pending());
         let hit: Rc<Cell<bool>> = Rc::default();
         let (m, h) = (sem.clone(), Rc::clone(&hit));
         sim.spawn(async move {
-            let _p = m.acquire_one().await;
+            let _p = m.acquire_one(AdmissionClass::Normal).await;
             h.set(true);
         });
         drop(big);
@@ -1203,8 +1035,8 @@ mod tests {
     #[test]
     fn priority_fifo_matches_plain_semaphore() {
         // Under AdmissionPolicy::Fifo the (class, seq) tie-break reduces
-        // to global arrival order: grant times must match the plain
-        // Semaphore exactly, whatever the class mix.
+        // to global arrival order: grant times match the plain FIFO
+        // semaphore's log (pinned) exactly, whatever the class mix.
         let plan: Vec<(AdmissionClass, u64)> = (0..6)
             .map(|i| {
                 let class = if i % 2 == 0 {
@@ -1217,20 +1049,8 @@ mod tests {
             .collect();
         let sim = Sim::new();
         let got = prio_grant_log(&sim, &PrioritySemaphore::fifo(1), &plan);
-        let plain = Sim::new();
-        let sem = Semaphore::new(1);
-        let log: Rc<RefCell<Vec<(u32, u64)>>> = Rc::default();
-        for (i, &(_, hold)) in plan.iter().enumerate() {
-            let (s, m, log) = (plain.clone(), sem.clone(), Rc::clone(&log));
-            plain.spawn(async move {
-                s.sleep(SimDuration::from_nanos(i as u64)).await;
-                let _p = m.acquire_one().await;
-                log.borrow_mut().push((i as u32, s.now().as_nanos()));
-                s.sleep(SimDuration::from_nanos(hold)).await;
-            });
-        }
-        plain.run().expect_quiescent();
-        assert_eq!(got, log.borrow().clone());
+        let plain = [(0, 0), (1, 100), (2, 200), (3, 300), (4, 400), (5, 500)];
+        assert_eq!(got, plain);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Property-based tests of the simulation kernel: event ordering,
 //! determinism and synchronization invariants.
 
+mod plain_semaphore;
+
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use daosim_kernel::sync::{
-    timeout, AdmissionClass, AdmissionPolicy, Barrier, PrioritySemaphore, Semaphore,
-};
+use daosim_kernel::sync::{timeout, AdmissionClass, AdmissionPolicy, Barrier, PrioritySemaphore};
 use daosim_kernel::{Sim, SimDuration, SimTime};
+use plain_semaphore::Semaphore;
 use proptest::prelude::*;
 
 /// One step of a timer program (see `surviving_timers_fire_exactly_on_time`).
@@ -207,7 +208,7 @@ proptest! {
         holds in 1u64..500,
     ) {
         let sim = Sim::new();
-        let sem = Semaphore::new(permits);
+        let sem = PrioritySemaphore::fifo(permits);
         let inside: Rc<Cell<usize>> = Rc::default();
         let peak: Rc<Cell<usize>> = Rc::default();
         for i in 0..tasks {
@@ -219,7 +220,7 @@ proptest! {
             );
             sim.spawn(async move {
                 s.sleep(SimDuration::from_nanos(i as u64 % 7)).await;
-                let _p = m.acquire_one().await;
+                let _p = m.acquire_one(AdmissionClass::Normal).await;
                 inside.set(inside.get() + 1);
                 peak.set(peak.get().max(inside.get()));
                 s.sleep(SimDuration::from_nanos(holds)).await;

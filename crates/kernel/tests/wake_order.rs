@@ -16,8 +16,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 
-use daosim_kernel::sync::{oneshot, race, Barrier, Either, Semaphore};
-use daosim_kernel::{SchedPolicy, Sim, SimDuration, SimTime};
+use daosim_kernel::sync::{oneshot, race, Barrier, Either, PrioritySemaphore};
+use daosim_kernel::{AdmissionClass, SchedPolicy, Sim, SimDuration, SimTime};
 
 type Log = Rc<RefCell<Vec<String>>>;
 
@@ -100,7 +100,7 @@ impl Future for YieldNow {
 fn poll_log(policy: SchedPolicy) -> Vec<String> {
     let sim = Sim::with_policy(policy);
     let log: Log = Rc::default();
-    let sem = Semaphore::new(1);
+    let sem = PrioritySemaphore::fifo(1);
     let bar = Barrier::new(3);
     let (stale_tx, stale_rx) = oneshot::<()>();
     let (stale_tx2, stale_rx2) = oneshot::<()>();
@@ -130,14 +130,14 @@ fn poll_log(policy: SchedPolicy) -> Vec<String> {
             tx.send(7);
             YieldNow(false).await;
             bar.wait().await;
-            let _permit = sem.acquire_one().await;
+            let _permit = sem.acquire_one(AdmissionClass::Normal).await;
             s.sleep(ns(10)).await;
         });
     }
     {
         let (s, sem) = (sim.clone(), sem.clone());
         spawn_logged(&sim, &log, "c", async move {
-            let permit = sem.acquire_one().await;
+            let permit = sem.acquire_one(AdmissionClass::Normal).await;
             s.sleep(ns(10)).await;
             drop(permit);
             s.sleep(ns(10)).await;
@@ -147,7 +147,7 @@ fn poll_log(policy: SchedPolicy) -> Vec<String> {
         let (s, sem, bar) = (sim.clone(), sem.clone(), bar.clone());
         spawn_logged(&sim, &log, "b", async move {
             s.sleep(ns(1)).await;
-            let _permit = sem.acquire_one().await;
+            let _permit = sem.acquire_one(AdmissionClass::Normal).await;
             bar.wait().await;
         });
     }

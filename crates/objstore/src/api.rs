@@ -25,7 +25,6 @@ use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
 use bytes::Bytes;
@@ -681,21 +680,21 @@ impl Future for EqCapacity {
 /// The embedded (in-process, instantaneous) backend over one pool.
 #[derive(Clone)]
 pub struct EmbeddedClient {
-    pool: Arc<Pool>,
+    pool: Rc<Pool>,
 }
 
 impl EmbeddedClient {
-    pub fn new(pool: Arc<Pool>) -> Self {
+    pub fn new(pool: Rc<Pool>) -> Self {
         EmbeddedClient { pool }
     }
 
-    pub fn pool(&self) -> &Arc<Pool> {
+    pub fn pool(&self) -> &Rc<Pool> {
         &self.pool
     }
 }
 
 impl DaosApi for EmbeddedClient {
-    type Cont = Arc<Container>;
+    type Cont = Rc<Container>;
 
     async fn cont_open_or_create(&self, uuid: Uuid) -> Result<Self::Cont> {
         self.pool.cont_open_or_create(uuid)
@@ -853,7 +852,11 @@ impl DaosApi for EmbeddedClient {
 mod tests {
     use super::*;
     use crate::error::DaosError;
-    use crate::store::DaosStore;
+    use crate::pool::DEFAULT_POOL_CAPACITY;
+
+    fn unbounded_pool(targets: u32) -> Rc<Pool> {
+        Rc::new(Pool::new(Uuid::NIL, targets, DEFAULT_POOL_CAPACITY))
+    }
 
     fn block_on<F: std::future::Future>(fut: F) -> F::Output {
         // The embedded backend never actually suspends; poll once.
@@ -868,7 +871,7 @@ mod tests {
 
     #[test]
     fn embedded_roundtrip_through_trait() {
-        let (_store, pool) = DaosStore::with_single_pool(24);
+        let pool = unbounded_pool(24);
         let client = EmbeddedClient::new(pool);
         let mut alloc = OidAllocator::new(1);
         block_on(async {
@@ -907,7 +910,7 @@ mod tests {
 
     #[test]
     fn handle_carries_oid_and_open_checks_type() {
-        let (_store, pool) = DaosStore::with_single_pool(24);
+        let pool = unbounded_pool(24);
         let client = EmbeddedClient::new(pool);
         let mut alloc = OidAllocator::new(3);
         block_on(async {
@@ -945,8 +948,8 @@ mod tests {
 
     #[test]
     fn charge_accounts_array_writes() {
-        let (_store, pool) = DaosStore::with_single_pool(4);
-        let client = EmbeddedClient::new(Arc::clone(&pool));
+        let pool = unbounded_pool(4);
+        let client = EmbeddedClient::new(Rc::clone(&pool));
         block_on(async {
             let cont = client.cont_open_or_create(Uuid::NIL).await.unwrap();
             let oid = OidAllocator::new(0).next(ObjectClass::S1);
@@ -962,8 +965,8 @@ mod tests {
 
     #[test]
     fn vectorized_ops_match_sequential_and_charge_once() {
-        let (_store, pool) = DaosStore::with_single_pool(8);
-        let client = EmbeddedClient::new(Arc::clone(&pool));
+        let pool = unbounded_pool(8);
+        let client = EmbeddedClient::new(Rc::clone(&pool));
         let mut alloc = OidAllocator::new(7);
         block_on(async {
             let cont = client.cont_open_or_create(Uuid::NIL).await.unwrap();
@@ -1015,7 +1018,7 @@ mod tests {
 
     #[test]
     fn event_queue_completes_inline_on_embedded() {
-        let (_store, pool) = DaosStore::with_single_pool(24);
+        let pool = unbounded_pool(24);
         let client = EmbeddedClient::new(pool);
         let mut alloc = OidAllocator::new(9);
         block_on(async {
@@ -1061,7 +1064,7 @@ mod tests {
 
     #[test]
     fn aborted_queue_cancels_completions_and_rejects_new_submissions() {
-        let (_store, pool) = DaosStore::with_single_pool(24);
+        let pool = unbounded_pool(24);
         let client = EmbeddedClient::new(pool);
         let mut alloc = OidAllocator::new(10);
         block_on(async {
@@ -1090,7 +1093,7 @@ mod tests {
 
     #[test]
     fn wait_capacity_returns_harvest_and_respects_limit() {
-        let (_store, pool) = DaosStore::with_single_pool(24);
+        let pool = unbounded_pool(24);
         let client = EmbeddedClient::new(pool);
         let mut alloc = OidAllocator::new(11);
         block_on(async {

@@ -1,11 +1,9 @@
 //! Containers: per-dataset object namespaces with their own id space.
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::RwLock;
 
 use crate::array::ArrayObject;
 use crate::error::{DaosError, Result};
@@ -31,15 +29,18 @@ pub enum Object {
     Array(ArrayObject),
 }
 
-/// Running operation totals of one container, kept with relaxed atomics
-/// (the container is shared across threads in snapshot tooling). The
-/// observability registry folds these into `objstore.*` counters.
+/// Running operation totals of one container. The observability
+/// registry folds these into `objstore.*` counters.
 #[derive(Default, Debug)]
 struct OpTally {
-    kv_updates: AtomicU64,
-    kv_fetches: AtomicU64,
-    array_updates: AtomicU64,
-    array_fetches: AtomicU64,
+    kv_updates: Cell<u64>,
+    kv_fetches: Cell<u64>,
+    array_updates: Cell<u64>,
+    array_fetches: Cell<u64>,
+}
+
+fn bump(counter: &Cell<u64>, n: u64) {
+    counter.set(counter.get() + n);
 }
 
 /// Point-in-time copy of a container's operation totals. Updates count
@@ -53,12 +54,12 @@ pub struct OpCounts {
     pub array_fetches: u64,
 }
 
-/// A transactional object namespace. Thread-safe: the object table takes a
-/// read lock for lookups and individual objects have their own locks, so
-/// concurrent operations on distinct objects do not serialize.
+/// A transactional object namespace. Single-threaded: every method is
+/// synchronous and borrows the object table once, so each call is atomic
+/// with respect to the simulated tasks that share the container.
 pub struct Container {
     uuid: Uuid,
-    objects: RwLock<HashMap<Oid, Arc<RwLock<Object>>>>,
+    objects: RefCell<HashMap<Oid, Object>>,
     ops: OpTally,
 }
 
@@ -66,7 +67,7 @@ impl Container {
     pub fn new(uuid: Uuid) -> Self {
         Container {
             uuid,
-            objects: RwLock::new(HashMap::new()),
+            objects: RefCell::new(HashMap::new()),
             ops: OpTally::default(),
         }
     }
@@ -74,10 +75,10 @@ impl Container {
     /// Operation totals since creation.
     pub fn op_counts(&self) -> OpCounts {
         OpCounts {
-            kv_updates: self.ops.kv_updates.load(Ordering::Relaxed),
-            kv_fetches: self.ops.kv_fetches.load(Ordering::Relaxed),
-            array_updates: self.ops.array_updates.load(Ordering::Relaxed),
-            array_fetches: self.ops.array_fetches.load(Ordering::Relaxed),
+            kv_updates: self.ops.kv_updates.get(),
+            kv_fetches: self.ops.kv_fetches.get(),
+            array_updates: self.ops.array_updates.get(),
+            array_fetches: self.ops.array_fetches.get(),
         }
     }
 
@@ -86,107 +87,86 @@ impl Container {
     }
 
     pub fn object_count(&self) -> usize {
-        self.objects.read().len()
+        self.objects.borrow().len()
     }
 
     pub fn obj_exists(&self, oid: Oid) -> bool {
-        self.objects.read().contains_key(&oid)
+        self.objects.borrow().contains_key(&oid)
     }
 
-    fn get_obj(&self, oid: Oid) -> Result<Arc<RwLock<Object>>> {
-        self.objects
-            .read()
-            .get(&oid)
-            .cloned()
-            .ok_or(DaosError::ObjNotFound(oid))
-    }
-
-    /// Fetches or lazily creates the Key-Value object `oid` (DAOS KVs
+    /// Runs `f` on KV `oid`, materializing it first if absent (DAOS KVs
     /// materialize on first update).
-    fn get_or_create_kv(&self, oid: Oid) -> Result<Arc<RwLock<Object>>> {
-        if let Some(o) = self.objects.read().get(&oid) {
-            return Ok(Arc::clone(o));
+    fn kv_update<T>(&self, oid: Oid, f: impl FnOnce(&mut KvObject) -> T) -> Result<T> {
+        let mut table = self.objects.borrow_mut();
+        match table
+            .entry(oid)
+            .or_insert_with(|| Object::Kv(KvObject::new()))
+        {
+            Object::Kv(kv) => Ok(f(kv)),
+            Object::Array(_) => Err(DaosError::WrongType(oid)),
         }
-        let mut table = self.objects.write();
-        Ok(Arc::clone(table.entry(oid).or_insert_with(|| {
-            Arc::new(RwLock::new(Object::Kv(KvObject::new())))
-        })))
+    }
+
+    /// Runs `f` on KV `oid`; a never-written KV reads as `missing`.
+    fn kv_read<T>(&self, oid: Oid, missing: T, f: impl FnOnce(&KvObject) -> T) -> Result<T> {
+        match self.objects.borrow().get(&oid) {
+            None => Ok(missing),
+            Some(Object::Kv(kv)) => Ok(f(kv)),
+            Some(Object::Array(_)) => Err(DaosError::WrongType(oid)),
+        }
+    }
+
+    /// Runs `f` on the existing Array `oid`.
+    fn array<T>(&self, oid: Oid, f: impl FnOnce(&mut ArrayObject) -> T) -> Result<T> {
+        match self.objects.borrow_mut().get_mut(&oid) {
+            None => Err(DaosError::ObjNotFound(oid)),
+            Some(Object::Array(a)) => Ok(f(a)),
+            Some(Object::Kv(_)) => Err(DaosError::WrongType(oid)),
+        }
     }
 
     // -- Key-Value API ----------------------------------------------------
 
     /// Inserts `key` into KV `oid`; returns the previous value, if any.
     pub fn kv_put(&self, oid: Oid, key: &[u8], value: Bytes) -> Result<Option<Bytes>> {
-        self.ops.kv_updates.fetch_add(1, Ordering::Relaxed);
-        let obj = self.get_or_create_kv(oid)?;
-        let mut guard = obj.write();
-        match &mut *guard {
-            Object::Kv(kv) => Ok(kv.put(key, value)),
-            Object::Array(_) => Err(DaosError::WrongType(oid)),
-        }
+        bump(&self.ops.kv_updates, 1);
+        self.kv_update(oid, |kv| kv.put(key, value))
     }
 
     /// Conditional insert into KV `oid`: writes `key` only if it is
     /// absent, returning the already-present value when the insert
-    /// loses. Check and insert happen under one object-lock
-    /// acquisition — the atomic dirent insert the DFS namespace's
-    /// create/mkdir race-resolution relies on.
+    /// loses. Check and insert happen in one call — the atomic dirent
+    /// insert the DFS namespace's create/mkdir race-resolution relies on.
     pub fn kv_put_if_absent(&self, oid: Oid, key: &[u8], value: Bytes) -> Result<Option<Bytes>> {
-        self.ops.kv_updates.fetch_add(1, Ordering::Relaxed);
-        let obj = self.get_or_create_kv(oid)?;
-        let mut guard = obj.write();
-        match &mut *guard {
-            Object::Kv(kv) => match kv.get(key) {
-                Some(existing) => Ok(Some(existing)),
-                None => {
-                    kv.put(key, value);
-                    Ok(None)
-                }
-            },
-            Object::Array(_) => Err(DaosError::WrongType(oid)),
-        }
+        bump(&self.ops.kv_updates, 1);
+        self.kv_update(oid, |kv| match kv.get(key) {
+            Some(existing) => Some(existing),
+            None => {
+                kv.put(key, value);
+                None
+            }
+        })
     }
 
-    /// Vectorized insert into KV `oid`: all pairs land under one object
-    /// lock acquisition (the batch the event-queue layer ships as a
-    /// single request). Equivalent to `kv_put` of each pair in order.
+    /// Vectorized insert into KV `oid`: all pairs land in one call (the
+    /// batch the event-queue layer ships as a single request). Equivalent
+    /// to `kv_put` of each pair in order.
     pub fn kv_put_multi(&self, oid: Oid, pairs: Vec<(Bytes, Bytes)>) -> Result<()> {
-        self.ops
-            .kv_updates
-            .fetch_add(pairs.len() as u64, Ordering::Relaxed);
-        let obj = self.get_or_create_kv(oid)?;
-        let mut guard = obj.write();
-        match &mut *guard {
-            Object::Kv(kv) => {
-                kv.put_many(pairs);
-                Ok(())
-            }
-            Object::Array(_) => Err(DaosError::WrongType(oid)),
-        }
+        bump(&self.ops.kv_updates, pairs.len() as u64);
+        self.kv_update(oid, |kv| kv.put_many(pairs))
     }
 
     pub fn kv_get(&self, oid: Oid, key: &[u8]) -> Result<Option<Bytes>> {
-        self.ops.kv_fetches.fetch_add(1, Ordering::Relaxed);
-        let obj = match self.get_obj(oid) {
-            Ok(o) => o,
-            // Reading a never-written KV behaves as an empty KV.
-            Err(DaosError::ObjNotFound(_)) => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        let guard = obj.read();
-        match &*guard {
-            Object::Kv(kv) => Ok(kv.get(key)),
-            Object::Array(_) => Err(DaosError::WrongType(oid)),
-        }
+        bump(&self.ops.kv_fetches, 1);
+        self.kv_read(oid, None, |kv| kv.get(key))
     }
 
     pub fn kv_remove(&self, oid: Oid, key: &[u8]) -> Result<Option<Bytes>> {
-        self.ops.kv_updates.fetch_add(1, Ordering::Relaxed);
-        let obj = self.get_obj(oid)?;
-        let mut guard = obj.write();
-        match &mut *guard {
-            Object::Kv(kv) => Ok(kv.remove(key)),
-            Object::Array(_) => Err(DaosError::WrongType(oid)),
+        bump(&self.ops.kv_updates, 1);
+        match self.objects.borrow_mut().get_mut(&oid) {
+            None => Err(DaosError::ObjNotFound(oid)),
+            Some(Object::Kv(kv)) => Ok(kv.remove(key)),
+            Some(Object::Array(_)) => Err(DaosError::WrongType(oid)),
         }
     }
 
@@ -197,57 +177,26 @@ impl Container {
     /// Keys of KV `oid` in `[from, until)` (`until = None` means
     /// unbounded), ordered. A never-written KV lists as empty.
     pub fn kv_list_range(&self, oid: Oid, from: &[u8], until: Option<&[u8]>) -> Result<Vec<Bytes>> {
-        self.ops.kv_fetches.fetch_add(1, Ordering::Relaxed);
-        let obj = match self.get_obj(oid) {
-            Ok(o) => o,
-            Err(DaosError::ObjNotFound(_)) => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        };
-        let guard = obj.read();
-        match &*guard {
-            Object::Kv(kv) => Ok(kv.list_range(from, until)),
-            Object::Array(_) => Err(DaosError::WrongType(oid)),
-        }
+        bump(&self.ops.kv_fetches, 1);
+        self.kv_read(oid, Vec::new(), |kv| kv.list_range(from, until))
     }
 
     /// Keys of KV `oid` starting with `prefix`, ordered.
     pub fn kv_list_prefix(&self, oid: Oid, prefix: &[u8]) -> Result<Vec<Bytes>> {
-        self.ops.kv_fetches.fetch_add(1, Ordering::Relaxed);
-        let obj = match self.get_obj(oid) {
-            Ok(o) => o,
-            Err(DaosError::ObjNotFound(_)) => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        };
-        let guard = obj.read();
-        match &*guard {
-            Object::Kv(kv) => Ok(kv.list_prefix(prefix)),
-            Object::Array(_) => Err(DaosError::WrongType(oid)),
-        }
+        bump(&self.ops.kv_fetches, 1);
+        self.kv_read(oid, Vec::new(), |kv| kv.list_prefix(prefix))
     }
 
     // -- Array API ---------------------------------------------------------
 
     /// Creates Array `oid`; fails if an object with that id exists.
     pub fn array_create(&self, oid: Oid) -> Result<()> {
-        let mut table = self.objects.write();
-        if table.contains_key(&oid) {
-            return Err(DaosError::ObjExists(oid));
-        }
-        table.insert(
-            oid,
-            Arc::new(RwLock::new(Object::Array(ArrayObject::new()))),
-        );
-        Ok(())
+        self.import_object(oid, Object::Array(ArrayObject::new()))
     }
 
     /// Opens Array `oid` — i.e. verifies existence and type.
     pub fn array_open(&self, oid: Oid) -> Result<()> {
-        let obj = self.get_obj(oid)?;
-        let guard = obj.read();
-        match &*guard {
-            Object::Array(_) => Ok(()),
-            Object::Kv(_) => Err(DaosError::WrongType(oid)),
-        }
+        self.array(oid, |_| ())
     }
 
     /// Creates Array `oid` if absent (the `no-index` mode re-write path,
@@ -261,113 +210,69 @@ impl Container {
     }
 
     pub fn array_write(&self, oid: Oid, offset: u64, data: Bytes) -> Result<()> {
-        self.ops.array_updates.fetch_add(1, Ordering::Relaxed);
-        let obj = self.get_obj(oid)?;
-        let mut guard = obj.write();
-        match &mut *guard {
-            Object::Array(a) => {
-                a.write(offset, data);
-                Ok(())
-            }
-            Object::Kv(_) => Err(DaosError::WrongType(oid)),
-        }
+        bump(&self.ops.array_updates, 1);
+        self.array(oid, |a| a.write(offset, data))
     }
 
-    /// Scatter-gather write: every `(offset, data)` extent lands under
-    /// one object lock acquisition. Equivalent to `array_write` of each
-    /// extent in order.
+    /// Scatter-gather write: every `(offset, data)` extent lands in one
+    /// call. Equivalent to `array_write` of each extent in order.
     pub fn array_write_vec(&self, oid: Oid, iovs: Vec<(u64, Bytes)>) -> Result<()> {
-        self.ops
-            .array_updates
-            .fetch_add(iovs.len() as u64, Ordering::Relaxed);
-        let obj = self.get_obj(oid)?;
-        let mut guard = obj.write();
-        match &mut *guard {
-            Object::Array(a) => {
-                a.write_many(iovs);
-                Ok(())
-            }
-            Object::Kv(_) => Err(DaosError::WrongType(oid)),
-        }
+        bump(&self.ops.array_updates, iovs.len() as u64);
+        self.array(oid, |a| a.write_many(iovs))
     }
 
     pub fn array_read(&self, oid: Oid, offset: u64, len: u64) -> Result<Bytes> {
-        self.ops.array_fetches.fetch_add(1, Ordering::Relaxed);
-        let obj = self.get_obj(oid)?;
-        let guard = obj.read();
-        match &*guard {
-            Object::Array(a) => Ok(a.read(offset, len)),
-            Object::Kv(_) => Err(DaosError::WrongType(oid)),
-        }
+        bump(&self.ops.array_fetches, 1);
+        self.array(oid, |a| a.read(offset, len))
     }
 
     pub fn array_size(&self, oid: Oid) -> Result<u64> {
-        let obj = self.get_obj(oid)?;
-        let guard = obj.read();
-        match &*guard {
-            Object::Array(a) => Ok(a.size()),
-            Object::Kv(_) => Err(DaosError::WrongType(oid)),
-        }
+        self.array(oid, |a| a.size())
     }
 
     /// Stores the EC parity cell of an Array object.
     pub fn array_set_parity(&self, oid: Oid, parity: Bytes) -> Result<()> {
-        self.ops.array_updates.fetch_add(1, Ordering::Relaxed);
-        let obj = self.get_obj(oid)?;
-        let mut guard = obj.write();
-        match &mut *guard {
-            Object::Array(a) => {
-                a.set_parity(parity);
-                Ok(())
-            }
-            Object::Kv(_) => Err(DaosError::WrongType(oid)),
-        }
+        bump(&self.ops.array_updates, 1);
+        self.array(oid, |a| a.set_parity(parity))
     }
 
     /// Fetches the EC parity cell of an Array object.
     pub fn array_parity(&self, oid: Oid) -> Result<Option<Bytes>> {
-        self.ops.array_fetches.fetch_add(1, Ordering::Relaxed);
-        let obj = self.get_obj(oid)?;
-        let guard = obj.read();
-        match &*guard {
-            Object::Array(a) => Ok(a.parity()),
-            Object::Kv(_) => Err(DaosError::WrongType(oid)),
-        }
+        bump(&self.ops.array_fetches, 1);
+        self.array(oid, |a| a.parity())
     }
 
     /// Punches (drops the contents of) an object of either type.
     pub fn obj_punch(&self, oid: Oid) -> Result<()> {
-        let removed = self.objects.write().remove(&oid);
+        let removed = self.objects.borrow_mut().remove(&oid);
         removed.map(|_| ()).ok_or(DaosError::ObjNotFound(oid))
     }
 
     /// Clones an object out of the container (snapshots, tooling).
     pub fn export_object(&self, oid: Oid) -> Result<Object> {
-        let obj = self.get_obj(oid)?;
-        let guard = obj.read();
-        Ok(guard.clone())
+        (self.objects.borrow().get(&oid).cloned()).ok_or(DaosError::ObjNotFound(oid))
     }
 
     /// Inserts a fully formed object (snapshot restore). Fails if the id
     /// is taken.
     pub fn import_object(&self, oid: Oid, object: Object) -> Result<()> {
-        let mut table = self.objects.write();
+        let mut table = self.objects.borrow_mut();
         if table.contains_key(&oid) {
             return Err(DaosError::ObjExists(oid));
         }
-        table.insert(oid, Arc::new(RwLock::new(object)));
+        table.insert(oid, object);
         Ok(())
     }
 
     /// Walks the container and aggregates content statistics.
     pub fn stats(&self) -> ContainerStats {
-        let table = self.objects.read();
+        let table = self.objects.borrow();
         let mut s = ContainerStats {
             objects: table.len(),
             ..Default::default()
         };
         for obj in table.values() {
-            match &*obj.read() {
+            match obj {
                 Object::Kv(kv) => {
                     s.kv_objects += 1;
                     s.kv_entries += kv.len();
@@ -383,17 +288,17 @@ impl Container {
 
     /// All object ids, ordered (diagnostics and tooling).
     pub fn list_objects(&self) -> Vec<Oid> {
-        let mut v: Vec<Oid> = self.objects.read().keys().copied().collect();
+        let mut v: Vec<Oid> = self.objects.borrow().keys().copied().collect();
         v.sort_unstable();
         v
     }
 
     /// All Array object ids, ordered (reclamation passes).
     pub fn list_arrays(&self) -> Vec<Oid> {
-        let table = self.objects.read();
+        let table = self.objects.borrow();
         let mut v: Vec<Oid> = table
             .iter()
-            .filter(|(_, o)| matches!(&*o.read(), Object::Array(_)))
+            .filter(|(_, o)| matches!(o, Object::Array(_)))
             .map(|(oid, _)| *oid)
             .collect();
         v.sort_unstable();
@@ -487,28 +392,5 @@ mod tests {
         assert_eq!(s.array_objects, 1);
         assert_eq!(s.kv_entries, 2);
         assert_eq!(s.array_bytes, 500);
-    }
-
-    #[test]
-    fn concurrent_distinct_objects() {
-        use std::sync::Arc;
-        let c = Arc::new(Container::new(Uuid::from_name(b"mt")));
-        let handles: Vec<_> = (0..8u64)
-            .map(|t| {
-                let c = Arc::clone(&c);
-                std::thread::spawn(move || {
-                    for i in 0..200u64 {
-                        let o = oid(t * 1000 + i);
-                        c.array_create(o).unwrap();
-                        c.array_write(o, 0, Bytes::from(vec![t as u8; 64])).unwrap();
-                        assert_eq!(c.array_read(o, 0, 64).unwrap()[0], t as u8);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(c.object_count(), 1600);
     }
 }

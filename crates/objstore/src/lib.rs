@@ -18,8 +18,9 @@
 //!   embedded store ([`api::EmbeddedClient`]) and by the simulated
 //!   cluster in `daosim-cluster`.
 //!
-//! The store is thread-safe (sharded `parking_lot` locks) and can be used
-//! directly as an in-process object store, independent of the simulator.
+//! The store is single-threaded, like the simulator's kernel: share a
+//! pool behind an `Rc`. It can be used directly as an in-process object
+//! store, independent of the simulator.
 
 pub mod api;
 pub mod array;
@@ -32,7 +33,6 @@ pub mod oid;
 pub mod placement;
 pub mod pool;
 pub mod snapshot;
-pub mod store;
 pub mod uuid;
 
 pub use api::{
@@ -59,7 +59,6 @@ pub use container::{Container, ContainerStats, Object, OpCounts};
 pub use error::{DaosError, Result};
 pub use kv::KvObject;
 pub use oid::{ObjectClass, Oid};
-pub use pool::Pool;
+pub use pool::{Pool, DEFAULT_POOL_CAPACITY};
 pub use snapshot::{load_pool, save_pool, SnapshotError};
-pub use store::DaosStore;
 pub use uuid::Uuid;

@@ -1,23 +1,26 @@
 //! Pools: reserved storage spanning targets, hosting containers.
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::rc::Rc;
 
 use crate::container::{Container, ContainerStats, OpCounts};
 use crate::error::{DaosError, Result};
 use crate::uuid::Uuid;
 
+/// Default pool capacity when unspecified: effectively unlimited for
+/// in-memory use.
+pub const DEFAULT_POOL_CAPACITY: u64 = u64::MAX / 2;
+
 /// A pool: a fixed-size slice of cluster storage, distributed over
-/// `targets` targets, hosting any number of containers.
+/// `targets` targets, hosting any number of containers. Single-threaded
+/// like the simulator that drives it: share one behind an `Rc`.
 pub struct Pool {
     uuid: Uuid,
     targets: u32,
     capacity: u64,
-    used: AtomicU64,
-    containers: RwLock<HashMap<Uuid, Arc<Container>>>,
+    used: Cell<u64>,
+    containers: RefCell<HashMap<Uuid, Rc<Container>>>,
 }
 
 impl Pool {
@@ -27,8 +30,8 @@ impl Pool {
             uuid,
             targets,
             capacity,
-            used: AtomicU64::new(0),
-            containers: RwLock::new(HashMap::new()),
+            used: Cell::new(0),
+            containers: RefCell::new(HashMap::new()),
         }
     }
 
@@ -45,65 +48,60 @@ impl Pool {
     }
 
     pub fn used(&self) -> u64 {
-        self.used.load(Ordering::Relaxed)
+        self.used.get()
     }
 
-    /// Charges an allocation against pool space. The store never refunds
-    /// trimmed extents — matching the paper's field I/O design, which
-    /// de-references but deliberately never deletes overwritten arrays.
+    /// Charges an allocation against pool space; a charge past capacity
+    /// (or past `u64::MAX`) is `NoSpace` and charges nothing. The store
+    /// never refunds trimmed extents — matching the paper's field I/O
+    /// design, which de-references but deliberately never deletes
+    /// overwritten arrays.
     pub fn charge(&self, bytes: u64) -> Result<()> {
-        let prev = self.used.fetch_add(bytes, Ordering::Relaxed);
-        if prev + bytes > self.capacity {
-            self.used.fetch_sub(bytes, Ordering::Relaxed);
-            return Err(DaosError::NoSpace);
-        }
+        let used = (self.used.get().checked_add(bytes))
+            .filter(|&used| used <= self.capacity)
+            .ok_or(DaosError::NoSpace)?;
+        self.used.set(used);
         Ok(())
     }
 
-    pub fn cont_create(&self, uuid: Uuid) -> Result<Arc<Container>> {
-        let mut table = self.containers.write();
+    pub fn cont_create(&self, uuid: Uuid) -> Result<Rc<Container>> {
+        let mut table = self.containers.borrow_mut();
         if table.contains_key(&uuid) {
             return Err(DaosError::ContExists(uuid));
         }
-        let c = Arc::new(Container::new(uuid));
-        table.insert(uuid, Arc::clone(&c));
+        let c = Rc::new(Container::new(uuid));
+        table.insert(uuid, Rc::clone(&c));
         Ok(c)
     }
 
-    pub fn cont_open(&self, uuid: Uuid) -> Result<Arc<Container>> {
-        self.containers
-            .read()
-            .get(&uuid)
-            .cloned()
-            .ok_or(DaosError::ContNotFound(uuid))
+    pub fn cont_open(&self, uuid: Uuid) -> Result<Rc<Container>> {
+        (self.containers.borrow().get(&uuid).cloned()).ok_or(DaosError::ContNotFound(uuid))
     }
 
-    /// The create-then-open-on-race pattern the field I/O functions use
-    /// with md5-derived container ids.
-    pub fn cont_open_or_create(&self, uuid: Uuid) -> Result<Arc<Container>> {
-        match self.cont_create(uuid) {
-            Ok(c) => Ok(c),
-            Err(DaosError::ContExists(_)) => self.cont_open(uuid),
-            Err(e) => Err(e),
-        }
+    /// The create-or-open pattern the field I/O functions use with
+    /// md5-derived container ids: every racing caller gets the one
+    /// container.
+    pub fn cont_open_or_create(&self, uuid: Uuid) -> Result<Rc<Container>> {
+        let mut table = self.containers.borrow_mut();
+        let c = table
+            .entry(uuid)
+            .or_insert_with(|| Rc::new(Container::new(uuid)));
+        Ok(Rc::clone(c))
     }
 
     pub fn cont_destroy(&self, uuid: Uuid) -> Result<()> {
-        self.containers
-            .write()
-            .remove(&uuid)
-            .map(|_| ())
-            .ok_or(DaosError::ContNotFound(uuid))
+        let removed = self.containers.borrow_mut().remove(&uuid);
+        removed.map(|_| ()).ok_or(DaosError::ContNotFound(uuid))
     }
 
     pub fn cont_count(&self) -> usize {
-        self.containers.read().len()
+        self.containers.borrow().len()
     }
 
     /// Aggregates statistics over every container.
     pub fn stats(&self) -> ContainerStats {
         let mut total = ContainerStats::default();
-        for (_, c) in self.containers.read().iter() {
+        for c in self.containers.borrow().values() {
             let s = c.stats();
             total.objects += s.objects;
             total.kv_objects += s.kv_objects;
@@ -115,7 +113,7 @@ impl Pool {
     }
 
     pub fn cont_list(&self) -> Vec<Uuid> {
-        let mut v: Vec<Uuid> = self.containers.read().keys().copied().collect();
+        let mut v: Vec<Uuid> = self.containers.borrow().keys().copied().collect();
         v.sort_unstable();
         v
     }
@@ -124,7 +122,7 @@ impl Pool {
     /// `objstore.*` metrics of the observability registry).
     pub fn op_counts(&self) -> OpCounts {
         let mut total = OpCounts::default();
-        for (_, c) in self.containers.read().iter() {
+        for c in self.containers.borrow().values() {
             let o = c.op_counts();
             total.kv_updates += o.kv_updates;
             total.kv_fetches += o.kv_fetches;
@@ -155,28 +153,25 @@ mod tests {
     }
 
     #[test]
-    fn open_or_create_survives_races() {
-        let p = Arc::new(pool());
-        let u = Uuid::from_name(b"shared");
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let p = Arc::clone(&p);
-                std::thread::spawn(move || p.cont_open_or_create(u).unwrap().uuid())
-            })
-            .collect();
-        for h in handles {
-            assert_eq!(h.join().unwrap(), u);
-        }
-        assert_eq!(p.cont_count(), 1);
-    }
-
-    #[test]
     fn capacity_enforced() {
         let p = Pool::new(Uuid::NIL, 1, 100);
         p.charge(60).unwrap();
         p.charge(40).unwrap();
         assert_eq!(p.charge(1), Err(DaosError::NoSpace));
         assert_eq!(p.used(), 100);
+    }
+
+    #[test]
+    fn overflowing_charge_is_no_space() {
+        // Regression: `used + bytes` overflowed (a panic in debug builds,
+        // a wrapped `used` that accepted the write in release).
+        let p = Pool::new(Uuid::NIL, 1, u64::MAX);
+        p.charge(u64::MAX - 5).unwrap();
+        assert_eq!(p.charge(11), Err(DaosError::NoSpace));
+        assert_eq!(p.charge(u64::MAX), Err(DaosError::NoSpace));
+        assert_eq!(p.used(), u64::MAX - 5);
+        p.charge(5).unwrap();
+        assert_eq!(p.used(), u64::MAX);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! ```
 
 use std::io::{self, Read, Write};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use bytes::Bytes;
 
@@ -143,7 +143,7 @@ pub fn save_pool(pool: &Pool, w: &mut impl Write) -> Result<(), SnapshotError> {
 }
 
 /// Reads a pool snapshot.
-pub fn load_pool(r: &mut impl Read) -> Result<Arc<Pool>, SnapshotError> {
+pub fn load_pool(r: &mut impl Read) -> Result<Rc<Pool>, SnapshotError> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -156,7 +156,7 @@ pub fn load_pool(r: &mut impl Read) -> Result<Arc<Pool>, SnapshotError> {
     }
     let capacity = r_u64(r)?;
     let used = r_u64(r)?;
-    let pool = Arc::new(Pool::new(uuid, targets, capacity));
+    let pool = Rc::new(Pool::new(uuid, targets, capacity));
     pool.charge(used)
         .map_err(|_| SnapshotError::Corrupt("used exceeds capacity"))?;
     let cont_count = r_u32(r)?;
@@ -233,10 +233,14 @@ fn oid_from_raw(hi: u64, lo: u64) -> Option<Oid> {
 mod tests {
     use super::*;
     use crate::oid::ObjectClass;
-    use crate::store::DaosStore;
+    use crate::pool::DEFAULT_POOL_CAPACITY;
 
-    fn sample_pool() -> Arc<Pool> {
-        let (_s, pool) = DaosStore::with_single_pool(24);
+    fn unbounded_pool(targets: u32) -> Pool {
+        Pool::new(Uuid::from_name(b"pool"), targets, DEFAULT_POOL_CAPACITY)
+    }
+
+    fn sample_pool() -> Pool {
+        let pool = unbounded_pool(24);
         let c1 = pool.cont_create(Uuid::from_name(b"c1")).unwrap();
         let c2 = pool.cont_create(Uuid::from_name(b"c2")).unwrap();
         let kv = Oid::generate(1, 1, ObjectClass::SX);
@@ -282,7 +286,7 @@ mod tests {
 
     #[test]
     fn parity_survives_roundtrip() {
-        let (_s, pool) = DaosStore::with_single_pool(24);
+        let pool = unbounded_pool(24);
         let c = pool.cont_create(Uuid::from_name(b"ec")).unwrap();
         let o = Oid::generate(2, 9, ObjectClass::EC2P1);
         c.array_create(o).unwrap();
@@ -323,7 +327,7 @@ mod tests {
 
     #[test]
     fn empty_pool_roundtrips() {
-        let (_s, pool) = DaosStore::with_single_pool(8);
+        let pool = unbounded_pool(8);
         let mut buf = Vec::new();
         save_pool(&pool, &mut buf).unwrap();
         let loaded = load_pool(&mut buf.as_slice()).unwrap();

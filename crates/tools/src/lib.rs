@@ -11,7 +11,7 @@
 
 use std::fs;
 use std::path::Path;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use bytes::Bytes;
 
@@ -121,7 +121,7 @@ impl From<daosim_core::fieldio::FieldIoError> for ToolError {
 
 pub type ToolResult = Result<Outcome, ToolError>;
 
-fn load(path: &Path) -> Result<Arc<Pool>, ToolError> {
+fn load(path: &Path) -> Result<Rc<Pool>, ToolError> {
     let mut f = fs::File::open(path)?;
     Ok(load_pool(&mut f)?)
 }
@@ -144,7 +144,7 @@ fn client_id(pool: &Pool) -> u32 {
 }
 
 fn with_fieldstore<T>(
-    pool: Arc<Pool>,
+    pool: Rc<Pool>,
     f: impl FnOnce(&FieldStore<EmbeddedClient>) -> Result<T, ToolError> + 'static,
 ) -> Result<T, ToolError>
 where
@@ -152,9 +152,8 @@ where
 {
     let sim = Sim::new();
     let id = client_id(&pool);
-    let result: std::rc::Rc<std::cell::RefCell<Option<Result<T, ToolError>>>> =
-        std::rc::Rc::default();
-    let r2 = std::rc::Rc::clone(&result);
+    let result: Rc<std::cell::RefCell<Option<Result<T, ToolError>>>> = Rc::default();
+    let r2 = Rc::clone(&result);
     sim.block_on(async move {
         let fs = FieldStore::connect(EmbeddedClient::new(pool), FieldIoConfig::default(), id)
             .await
@@ -165,7 +164,7 @@ where
         };
         *r2.borrow_mut() = Some(out);
     });
-    std::rc::Rc::try_unwrap(result)
+    Rc::try_unwrap(result)
         .ok()
         .expect("executor done")
         .into_inner()
@@ -183,7 +182,7 @@ pub fn cmd_init(path: &Path, targets: u32) -> ToolResult {
     let pool = Pool::new(
         Uuid::from_name(path.to_string_lossy().as_bytes()),
         targets,
-        daosim_objstore::store::DEFAULT_POOL_CAPACITY,
+        daosim_objstore::DEFAULT_POOL_CAPACITY,
     );
     store(path, &pool)?;
     Ok(Outcome::Created { targets })
@@ -197,7 +196,7 @@ pub fn cmd_put(path: &Path, key_text: &str, data: Vec<u8>) -> ToolResult {
     let kc = key.canonical().to_owned();
     {
         let key = key.clone();
-        with_fieldstore(Arc::clone(&pool), move |fs| {
+        with_fieldstore(Rc::clone(&pool), move |fs| {
             block_here(fs.write_field(&key, Bytes::from(data)))?;
             Ok(())
         })?;
@@ -246,7 +245,7 @@ pub fn cmd_wipe(path: &Path, forecast_text: &str) -> ToolResult {
     let key = FieldKey::parse(forecast_text).map_err(ToolError::BadArgs)?;
     let pool = load(path)?;
     let removed = {
-        let pool = Arc::clone(&pool);
+        let pool = Rc::clone(&pool);
         with_fieldstore(pool, move |fs| Ok(block_here(fs.wipe_forecast(&key))?))?
     };
     store(path, &pool)?;
@@ -769,6 +768,28 @@ mod tests {
         let a = TempArchive::new("missing");
         cmd_init(&a.0, 8).unwrap();
         assert!(matches!(cmd_get(&a.0, KEY), Err(ToolError::Field(_))));
+    }
+
+    #[test]
+    fn put_past_u64_max_usage_is_an_error_not_a_panic() {
+        // An archive with capacity u64::MAX and 5 bytes left: the charge
+        // `used + bytes` used to overflow (a panic in debug builds).
+        let a = TempArchive::new("overflow");
+        cmd_init(&a.0, 8).unwrap();
+        let mut bytes = fs::read(&a.0).unwrap();
+        // magic (8) | pool uuid (16) | targets (4) | capacity | used
+        bytes[28..36].copy_from_slice(&u64::MAX.to_le_bytes());
+        bytes[36..44].copy_from_slice(&(u64::MAX - 5).to_le_bytes());
+        fs::write(&a.0, &bytes).unwrap();
+        assert!(matches!(
+            cmd_put(&a.0, KEY, b"hello-world".to_vec()),
+            Err(ToolError::Field(_))
+        ));
+        assert_eq!(
+            fs::read(&a.0).unwrap(),
+            bytes,
+            "a failed put rewrote the archive"
+        );
     }
 
     #[test]

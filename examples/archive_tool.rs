@@ -12,7 +12,8 @@ use daosim::bytes::Bytes;
 use daosim::core::fieldio::{FieldIoConfig, FieldStore};
 use daosim::core::request::{archive_all, retrieve, Request};
 use daosim::kernel::Sim;
-use daosim::objstore::{load_pool, save_pool, DaosStore, EmbeddedClient};
+use daosim::objstore::{load_pool, save_pool, EmbeddedClient, Pool, Uuid, DEFAULT_POOL_CAPACITY};
+use std::rc::Rc;
 
 fn main() {
     let path = std::env::args()
@@ -20,7 +21,7 @@ fn main() {
         .unwrap_or_else(|| "/tmp/daosim-archive.snap".to_string());
 
     // ---- stage 1: archive a request expansion --------------------------
-    let (_store, pool) = DaosStore::with_single_pool(24);
+    let pool = Rc::new(Pool::new(Uuid::NIL, 24, DEFAULT_POOL_CAPACITY));
     let mut req = Request::new();
     req.set("class", ["od"])
         .set("date", ["20290101"])

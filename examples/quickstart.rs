@@ -11,11 +11,12 @@ use daosim::bytes::Bytes;
 use daosim::core::fieldio::{FieldIoConfig, FieldStore};
 use daosim::core::key::FieldKey;
 use daosim::kernel::Sim;
-use daosim::objstore::{DaosStore, EmbeddedClient};
+use daosim::objstore::{EmbeddedClient, Pool, Uuid, DEFAULT_POOL_CAPACITY};
+use std::rc::Rc;
 
 fn main() {
     // A 24-target pool, like two DAOS engines' worth of storage.
-    let (_store, pool) = DaosStore::with_single_pool(24);
+    let pool = Rc::new(Pool::new(Uuid::NIL, 24, DEFAULT_POOL_CAPACITY));
     let client = EmbeddedClient::new(pool.clone());
 
     // The embedded backend completes operations immediately, but the API

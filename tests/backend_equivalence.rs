@@ -7,7 +7,7 @@ use daosim::cluster::{ClusterSpec, Deployment, SimClient};
 use daosim::core::fieldio::{FieldIoConfig, FieldIoError, FieldIoMode, FieldStore};
 use daosim::core::key::FieldKey;
 use daosim::kernel::Sim;
-use daosim::objstore::{DaosApi, DaosStore, EmbeddedClient};
+use daosim::objstore::{DaosApi, EmbeddedClient, Pool, Uuid, DEFAULT_POOL_CAPACITY};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -62,8 +62,12 @@ async fn program<D: DaosApi>(client: D, mode: FieldIoMode) -> Vec<(String, Bytes
     out
 }
 
+fn unbounded_pool() -> Rc<Pool> {
+    Rc::new(Pool::new(Uuid::NIL, 48, DEFAULT_POOL_CAPACITY))
+}
+
 fn run_embedded(mode: FieldIoMode) -> Vec<(String, Bytes)> {
-    let (_s, pool) = DaosStore::with_single_pool(48);
+    let pool = unbounded_pool();
     let client = EmbeddedClient::new(pool);
     let out: Rc<RefCell<Vec<(String, Bytes)>>> = Rc::default();
     let out2 = Rc::clone(&out);
@@ -181,8 +185,8 @@ fn run_to_end<T: Default + 'static>(
 fn overflowing_extents_are_invalid_args_on_both_backends() {
     // Regression: these probes panicked in `ArrayObject::write`/`read`
     // ("array extent overflows u64") through the simulated client.
-    let (_s, pool) = DaosStore::with_single_pool(48);
-    let embedded = EmbeddedClient::new(std::sync::Arc::clone(&pool));
+    let pool = unbounded_pool();
+    let embedded = EmbeddedClient::new(Rc::clone(&pool));
     let got_embedded = run_to_end(&Sim::new(), async move {
         overflow_probes(&embedded, || pool.used()).await
     });
@@ -247,8 +251,8 @@ async fn huge_read_probes<D: DaosApi>(client: &D, pool_used: impl Fn() -> u64) -
 fn reads_longer_than_the_limit_are_invalid_args_on_both_backends() {
     // Regression: `ArrayObject::read` zero-fills `len` bytes up front, so
     // these reads aborted the process on allocation.
-    let (_s, pool) = DaosStore::with_single_pool(48);
-    let embedded = EmbeddedClient::new(std::sync::Arc::clone(&pool));
+    let pool = unbounded_pool();
+    let embedded = EmbeddedClient::new(Rc::clone(&pool));
     let got_embedded = run_to_end(&Sim::new(), async move {
         huge_read_probes(&embedded, || pool.used()).await
     });
@@ -264,4 +268,106 @@ fn reads_longer_than_the_limit_are_invalid_args_on_both_backends() {
         assert!(line.ends_with("Ok(b\"0123\")"), "embedded: {line}");
     }
     assert_eq!(got_embedded, got_simulated);
+}
+
+/// Runs `racer(rank)` for ranks 0..8 as concurrent tasks on `sim` and
+/// returns their outputs in rank order.
+fn race<T: 'static, F: std::future::Future<Output = T> + 'static>(
+    sim: &Sim,
+    racer: impl Fn(u32) -> F,
+) -> Vec<T> {
+    let out: Rc<RefCell<Vec<Option<T>>>> = Rc::new(RefCell::new((0..8).map(|_| None).collect()));
+    for rank in 0..8u32 {
+        let (fut, out) = (racer(rank), Rc::clone(&out));
+        sim.spawn(async move {
+            let v = fut.await;
+            out.borrow_mut()[rank as usize] = Some(v);
+        });
+    }
+    sim.run().expect_quiescent();
+    let out = Rc::try_unwrap(out).ok().expect("racers done").into_inner();
+    out.into_iter()
+        .map(|v| v.expect("racer finished"))
+        .collect()
+}
+
+/// One racer of the md5-named container creation the field I/O layer
+/// relies on: returns the UUID its handle names.
+async fn open_shared<D: DaosApi>(client: D, uuid_of: fn(&D::Cont) -> Uuid) -> Uuid {
+    let cont = client
+        .cont_open_or_create(Uuid::from_name(b"shared"))
+        .await
+        .expect("open or create");
+    uuid_of(&cont)
+}
+
+#[test]
+fn open_or_create_races_yield_one_container_on_both_backends() {
+    let shared = vec![Uuid::from_name(b"shared"); 8];
+    let pool = unbounded_pool();
+    let embedded = EmbeddedClient::new(Rc::clone(&pool));
+    let got = race(&Sim::new(), |_| open_shared(embedded.clone(), |c| c.uuid()));
+    assert_eq!(got, shared);
+    assert_eq!(pool.cont_count(), 1);
+
+    let sim = Sim::new();
+    let d = Deployment::new(&sim, ClusterSpec::tcp(1, 1));
+    let got = race(&sim, |rank| {
+        open_shared(SimClient::for_process(&d, 0, rank), |c| c.uuid)
+    });
+    assert_eq!(got, shared);
+    assert_eq!(d.pool.cont_count(), 1);
+}
+
+/// One racer's share of the distinct-objects program: 200 arrays of its
+/// own in the shared container, each created, written and read back.
+/// Logs its rank after every write.
+async fn fill_distinct<D: DaosApi>(client: D, rank: u32, log: Rc<RefCell<Vec<u32>>>) {
+    use daosim::objstore::{ObjectClass, Oid};
+    let cont = client
+        .cont_open_or_create(Uuid::from_name(b"mt"))
+        .await
+        .expect("cont");
+    for i in 0..200u64 {
+        let oid = Oid::generate(1, u64::from(rank) * 1000 + i, ObjectClass::S1);
+        let h = client.array_create(&cont, oid).await.expect("create");
+        let data = Bytes::from(vec![rank as u8; 64]);
+        client.array_write(&cont, &h, 0, data).await.expect("write");
+        log.borrow_mut().push(rank);
+        let back = client.array_read(&cont, &h, 0, 64).await.expect("read");
+        assert_eq!(back, vec![rank as u8; 64], "racer {rank}, array {i}");
+        client.array_close(&cont, h).await.expect("close");
+    }
+}
+
+/// Times the write log changes hands between racers.
+fn handoffs(log: &RefCell<Vec<u32>>) -> usize {
+    log.borrow().windows(2).filter(|w| w[0] != w[1]).count()
+}
+
+#[test]
+fn concurrent_distinct_objects_on_both_backends() {
+    let pool = unbounded_pool();
+    let embedded = EmbeddedClient::new(Rc::clone(&pool));
+    let log: Rc<RefCell<Vec<u32>>> = Rc::default();
+    race(&Sim::new(), |rank| {
+        fill_distinct(embedded.clone(), rank, Rc::clone(&log))
+    });
+    assert_eq!(pool.stats().objects, 1600);
+    // Embedded ops never suspend: each racer runs to its end at once.
+    assert_eq!(handoffs(&log), 7);
+
+    let sim = Sim::new();
+    let d = Deployment::new(&sim, ClusterSpec::tcp(1, 1));
+    let log: Rc<RefCell<Vec<u32>>> = Rc::default();
+    race(&sim, |rank| {
+        fill_distinct(SimClient::for_process(&d, 0, rank), rank, Rc::clone(&log))
+    });
+    assert_eq!(d.pool.stats().objects, 1600);
+    assert_eq!(log.borrow().len(), 1600);
+    assert!(
+        handoffs(&log) > 7 * 100,
+        "simulated racers barely interleaved: {} handoffs",
+        handoffs(&log)
+    );
 }

@@ -16,7 +16,8 @@ use daosim::bytes::Bytes;
 use daosim::cluster::{ClusterSpec, Deployment, SimClient};
 use daosim::kernel::Sim;
 use daosim::objstore::{
-    DaosApi, DaosStore, EmbeddedClient, EventQueue, ObjectClass, OidAllocator, OpOutput, Uuid,
+    DaosApi, EmbeddedClient, EventQueue, ObjectClass, OidAllocator, OpOutput, Pool, Uuid,
+    DEFAULT_POOL_CAPACITY,
 };
 use proptest::prelude::*;
 
@@ -192,7 +193,7 @@ async fn run_program<D: DaosApi>(client: D, ops: Vec<EqOp>) -> (BTreeMap<u64, St
 type ProgramResult = (BTreeMap<u64, String>, String);
 
 fn on_embedded(ops: Vec<EqOp>) -> ProgramResult {
-    let (_s, pool) = DaosStore::with_single_pool(48);
+    let pool = Rc::new(Pool::new(Uuid::NIL, 48, DEFAULT_POOL_CAPACITY));
     let client = EmbeddedClient::new(pool);
     let out: Rc<RefCell<Option<ProgramResult>>> = Rc::default();
     let out2 = Rc::clone(&out);
@@ -248,7 +249,7 @@ async fn kv_state<D: DaosApi>(client: D, pairs: Vec<(u8, u8)>, batched: bool) ->
 }
 
 fn kv_state_embedded(pairs: Vec<(u8, u8)>, batched: bool) -> String {
-    let (_s, pool) = DaosStore::with_single_pool(48);
+    let pool = Rc::new(Pool::new(Uuid::NIL, 48, DEFAULT_POOL_CAPACITY));
     let client = EmbeddedClient::new(pool);
     let out: Rc<RefCell<String>> = Rc::default();
     let out2 = Rc::clone(&out);

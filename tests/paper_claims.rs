@@ -1,7 +1,8 @@
 //! Assertions of the paper's headline claims, at two scales.
 //!
-//! The full-scale versions reproduce the paper's configurations and take
-//! minutes, so they are `#[ignore]`d by default:
+//! The full-scale versions reproduce the paper's configurations. They
+//! take seconds in a release build but far longer in a debug one, so they
+//! are `#[ignore]`d by default and CI runs them in release:
 //!
 //! ```text
 //! cargo test --release --test paper_claims -- --ignored
@@ -46,7 +47,7 @@ fn pattern(mode: FieldIoMode, contention: Contention, servers: u16, ppn: u32) ->
 /// bandwidth reaches up to 70 GiB/s" (conclusion; no-containers mode,
 /// pattern B, low contention).
 #[test]
-#[ignore = "minutes-long full-scale run"]
+#[ignore = "full-scale run: seconds in release, slow in debug"]
 fn aggregate_bandwidth_reaches_seventy_gib_at_twelve_servers() {
     let r = run_pattern_b(&pattern(FieldIoMode::NoContainers, Contention::Low, 12, 32));
     let agg = r.aggregate_gib();
@@ -59,7 +60,7 @@ fn aggregate_bandwidth_reaches_seventy_gib_at_twelve_servers() {
 /// "Bandwidth scaling linearly with additional SCM nodes in most cases"
 /// (abstract) — checked as IOR write scaling from 2 to 8 server nodes.
 #[test]
-#[ignore = "minutes-long full-scale run"]
+#[ignore = "full-scale run: seconds in release, slow in debug"]
 fn ior_write_bandwidth_scales_nearly_linearly() {
     let params = |ppn| IorParams {
         transfer_bytes: MIB,
@@ -83,7 +84,7 @@ fn ior_write_bandwidth_scales_nearly_linearly() {
 /// "Performance improves as the object size increases beyond 1 MiB"
 /// (conclusion) — the Fig. 6 mechanism at full scale.
 #[test]
-#[ignore = "minutes-long full-scale run"]
+#[ignore = "full-scale run: seconds in release, slow in debug"]
 fn larger_objects_outperform_one_mib_fields() {
     let mut small = pattern(FieldIoMode::Full, Contention::High, 2, 32);
     small.field_bytes = MIB;
@@ -103,7 +104,7 @@ fn larger_objects_outperform_one_mib_fields() {
 /// High contention on a shared index caps indexed-mode throughput while
 /// no-index keeps scaling (Fig. 4's core result).
 #[test]
-#[ignore = "minutes-long full-scale run"]
+#[ignore = "full-scale run: seconds in release, slow in debug"]
 fn shared_index_contention_caps_indexed_modes() {
     let idx = run_pattern_a(&pattern(FieldIoMode::NoContainers, Contention::High, 8, 32));
     let no_idx = run_pattern_a(&pattern(FieldIoMode::NoIndex, Contention::High, 8, 32));
