@@ -24,7 +24,7 @@ use bytes::Bytes;
 use daosim_kernel::sync::{join2, join_all, timeout, AdmissionClass, Elapsed};
 use daosim_kernel::{CounterHandle, HistogramHandle, MetricsRegistry, SimDuration};
 use daosim_net::Endpoint;
-use daosim_objstore::array::{extent_end, read_extent_end};
+use daosim_objstore::array::{check_extents, read_extent_end};
 use daosim_objstore::ec;
 use daosim_objstore::placement::{
     array_target_shards, ec_targets, kv_target, leader_target, replica_targets, ARRAY_CHUNK,
@@ -404,10 +404,10 @@ impl SimClient {
     /// (DESIGN.md §3.4): request message → KV ops: engine meta on the
     /// primary → object lock(s) → `objstore` span, and for KV ops the
     /// leader's serial sleep (even when zero) → every shard served at once
-    /// ([`Self::serve`]), first error in shard order → `commit` (the pool
-    /// charge and store access, handed what a conditional insert found)
-    /// → response message. A failed shard or commit ends the attempt
-    /// without a response.
+    /// ([`Self::serve`]), first error in shard order → `commit` (a store
+    /// read, or the `Pool` store half that charges and mutates, handed
+    /// what a conditional insert found) → response message. A failed
+    /// shard or commit ends the attempt without a response.
     async fn rpc<T>(
         &self,
         cont: &SimCont,
@@ -604,9 +604,9 @@ impl SimClient {
         iovs: &[(u64, Bytes)],
         chunks: &[u64],
     ) -> Result<()> {
-        for (offset, data) in iovs {
-            extent_end(*offset, data.len() as u64)?;
-        }
+        // Checked before placement too, so a bad or empty batch sends
+        // no request.
+        check_extents(iovs)?;
         if iovs.is_empty() {
             return Ok(());
         }
@@ -630,19 +630,9 @@ impl SimClient {
                 .collect()
         };
         self.check_live(&shards)?;
-        let total = iovs.iter().map(|(_, d)| d.len() as u64).sum();
         let section = Section::ArrayUpdate(chunks);
         self.rpc(cont, oid, section, &shards, async |_| {
-            self.d.pool.charge(total)?;
-            match iovs {
-                [(offset, data)] => cont.cont.array_write(oid, *offset, data.clone())?,
-                _ => cont.cont.array_write_vec(oid, iovs.to_vec())?,
-            }
-            if let Some(parity) = parity {
-                self.d.pool.charge(parity.len() as u64)?;
-                cont.cont.array_set_parity(oid, parity)?;
-            }
-            Ok(())
+            self.d.pool.array_write(&cont.cont, oid, iovs, parity)
         })
         .await
     }
@@ -675,7 +665,7 @@ impl SimClient {
     /// [`Self::rpc`]. Media is charged at one point,
     /// [`Self::charge_media`], when an update shard starts (creates: at
     /// placement), before the target queue wait. A dropped attempt keeps
-    /// that charge, and its retry charges again (ROADMAP item 4).
+    /// that charge, and its retry charges again (ROADMAP item 1).
     async fn retrying<T, Fut>(&self, op: ClientOp, mut attempt: impl FnMut() -> Fut) -> Result<T>
     where
         Fut: std::future::Future<Output = Result<T>>,
@@ -760,8 +750,7 @@ impl DaosApi for SimClient {
         self.retrying(ClientOp::KvPut, || async move {
             let shards = self.kv_updates(oid, [(key, bytes)])?;
             self.rpc(cont, oid, Section::KvUpdate(None), &shards, async |_| {
-                self.d.pool.charge(bytes)?;
-                cont.cont.kv_put(oid, key, value.clone()).map(drop)
+                self.d.pool.kv_put(&cont.cont, oid, key, value.clone())
             })
             .await
         })
@@ -793,8 +782,7 @@ impl DaosApi for SimClient {
             let section = Section::KvUpdate(Some(key));
             self.rpc(cont, oid, section, &shards, async |found| {
                 if found.is_none() {
-                    self.d.pool.charge(bytes)?;
-                    cont.cont.kv_put(oid, key, value.clone())?;
+                    self.d.pool.kv_put(&cont.cont, oid, key, value.clone())?;
                 }
                 Ok(found)
             })
@@ -809,16 +797,9 @@ impl DaosApi for SimClient {
     async fn kv_remove(&self, cont: &Self::Cont, oid: Oid, key: &[u8]) -> Result<()> {
         self.retrying(ClientOp::KvRemove, || async move {
             let shards = self.kv_updates(oid, [(key, key.len() as u64)])?;
-            self.rpc(
-                cont,
-                oid,
-                Section::KvUpdate(None),
-                &shards,
-                async |_| match cont.cont.kv_remove(oid, key) {
-                    Ok(_) | Err(DaosError::ObjNotFound(_)) => Ok(()),
-                    Err(e) => Err(e),
-                },
-            )
+            self.rpc(cont, oid, Section::KvUpdate(None), &shards, async |_| {
+                self.d.pool.kv_remove(&cont.cont, oid, key)
+            })
             .await
         })
         .await
@@ -864,11 +845,9 @@ impl DaosApi for SimClient {
             let entries = pairs
                 .iter()
                 .map(|(k, v)| (&k[..], (k.len() + v.len()) as u64));
-            let total = entries.clone().map(|(_, b)| b).sum();
             let shards = self.kv_updates(oid, entries)?;
             self.rpc(cont, oid, Section::KvUpdate(None), &shards, async |_| {
-                self.d.pool.charge(total)?;
-                cont.cont.kv_put_multi(oid, pairs.clone())
+                self.d.pool.kv_put_multi(&cont.cont, oid, pairs)
             })
             .await
         })

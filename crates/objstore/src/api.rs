@@ -29,7 +29,7 @@ use std::task::{Context, Poll, Waker};
 
 use bytes::Bytes;
 
-use crate::array::{extent_end, read_extent_end};
+use crate::array::read_extent_end;
 use crate::container::Container;
 use crate::error::{DaosError, Result};
 use crate::oid::{ObjectClass, Oid};
@@ -89,20 +89,16 @@ pub trait DaosApi: Clone + 'static {
     async fn kv_put(&self, cont: &Self::Cont, oid: Oid, key: &[u8], value: Bytes) -> Result<()>;
 
     /// Vectorized Key-Value update: all pairs land in one request, which
-    /// the store services as a batch (one round trip, one serial-section
-    /// charge on the simulated backend). Semantically identical to
-    /// issuing the `kv_put`s in order.
+    /// the store services as a batch (one round trip and one serial
+    /// section on the simulated backend) and charges as one allocation.
+    /// Otherwise identical to issuing the `kv_put`s in order; an empty
+    /// batch is a no-op.
     async fn kv_put_multi(
         &self,
         cont: &Self::Cont,
         oid: Oid,
         pairs: Vec<(Bytes, Bytes)>,
-    ) -> Result<()> {
-        for (key, value) in pairs {
-            self.kv_put(cont, oid, &key, value).await?;
-        }
-        Ok(())
-    }
+    ) -> Result<()>;
 
     /// Key-Value fetch; `None` when the key (or the KV itself) is absent.
     async fn kv_get(&self, cont: &Self::Cont, oid: Oid, key: &[u8]) -> Result<Option<Bytes>>;
@@ -111,22 +107,15 @@ pub trait DaosApi: Clone + 'static {
     /// and returns the previously-present value when the insert loses.
     /// Backends make the check-and-insert atomic (one serial section at
     /// the object's leader), which is what makes racing `DFS`
-    /// create/mkdir calls converge on a single winning dirent. The
-    /// default implementation is a non-atomic get-then-put fallback for
-    /// backends without conditional updates.
+    /// create/mkdir calls converge on a single winning dirent. A losing
+    /// insert is a fetch: it stores and charges nothing.
     async fn kv_put_if_absent(
         &self,
         cont: &Self::Cont,
         oid: Oid,
         key: &[u8],
         value: Bytes,
-    ) -> Result<Option<Bytes>> {
-        if let Some(existing) = self.kv_get(cont, oid, key).await? {
-            return Ok(Some(existing));
-        }
-        self.kv_put(cont, oid, key, value).await?;
-        Ok(None)
-    }
+    ) -> Result<Option<Bytes>>;
 
     /// Key-Value key removal (`daos_kv_remove`). Removing an absent key
     /// — or a key of a never-written KV — is a successful no-op.
@@ -136,24 +125,16 @@ pub trait DaosApi: Clone + 'static {
     async fn kv_list_keys(&self, cont: &Self::Cont, oid: Oid) -> Result<Vec<Bytes>>;
 
     /// Lists the keys of a Key-Value object in `[from, until)`
-    /// (`until = None` means unbounded) — the server-side range scan
-    /// behind prefix listings, one RPC regardless of how much of the key
-    /// space it skips. The default implementation filters a full
-    /// listing; backends with ordered storage override it with a real
-    /// range scan.
+    /// (`until = None` means unbounded), ordered — the server-side range
+    /// scan behind prefix listings, one RPC regardless of how much of the
+    /// key space it skips.
     async fn kv_list_range(
         &self,
         cont: &Self::Cont,
         oid: Oid,
         from: Bytes,
         until: Option<Bytes>,
-    ) -> Result<Vec<Bytes>> {
-        let keys = self.kv_list_keys(cont, oid).await?;
-        Ok(keys
-            .into_iter()
-            .filter(|k| **k >= *from && until.as_ref().is_none_or(|end| **k < **end))
-            .collect())
-    }
+    ) -> Result<Vec<Bytes>>;
 
     /// Creates a new Array object, returning its open handle.
     async fn array_create(&self, cont: &Self::Cont, oid: Oid) -> Result<ArrayHandle>;
@@ -175,19 +156,15 @@ pub trait DaosApi: Clone + 'static {
     ) -> Result<()>;
 
     /// Scatter-gather write: every `(offset, data)` extent lands in one
-    /// request, serviced as a batch. Semantically identical to issuing
-    /// the `array_write`s in order.
+    /// request, serviced as a batch and charged as one allocation.
+    /// Otherwise identical to issuing the `array_write`s in order; an
+    /// empty batch is a no-op.
     async fn array_write_vec(
         &self,
         cont: &Self::Cont,
         handle: &ArrayHandle,
         iovs: Vec<(u64, Bytes)>,
-    ) -> Result<()> {
-        for (offset, data) in iovs {
-            self.array_write(cont, handle, offset, data).await?;
-        }
-        Ok(())
-    }
+    ) -> Result<()>;
 
     /// Reads an extent of an open Array object.
     async fn array_read(
@@ -705,8 +682,7 @@ impl DaosApi for EmbeddedClient {
     }
 
     async fn kv_put(&self, cont: &Self::Cont, oid: Oid, key: &[u8], value: Bytes) -> Result<()> {
-        self.pool.charge((key.len() + value.len()) as u64)?;
-        cont.kv_put(oid, key, value).map(|_| ())
+        self.pool.kv_put(cont, oid, key, value)
     }
 
     async fn kv_put_multi(
@@ -715,9 +691,7 @@ impl DaosApi for EmbeddedClient {
         oid: Oid,
         pairs: Vec<(Bytes, Bytes)>,
     ) -> Result<()> {
-        let bytes: usize = pairs.iter().map(|(k, v)| k.len() + v.len()).sum();
-        self.pool.charge(bytes as u64)?;
-        cont.kv_put_multi(oid, pairs)
+        self.pool.kv_put_multi(cont, oid, &pairs)
     }
 
     async fn kv_get(&self, cont: &Self::Cont, oid: Oid, key: &[u8]) -> Result<Option<Bytes>> {
@@ -731,21 +705,15 @@ impl DaosApi for EmbeddedClient {
         key: &[u8],
         value: Bytes,
     ) -> Result<Option<Bytes>> {
-        // Only a winning insert consumes pool capacity.
-        match cont.kv_put_if_absent(oid, key, value.clone())? {
-            Some(existing) => Ok(Some(existing)),
-            None => {
-                self.pool.charge((key.len() + value.len()) as u64)?;
-                Ok(None)
-            }
+        let found = cont.kv_get(oid, key)?;
+        if found.is_none() {
+            self.pool.kv_put(cont, oid, key, value)?;
         }
+        Ok(found)
     }
 
     async fn kv_remove(&self, cont: &Self::Cont, oid: Oid, key: &[u8]) -> Result<()> {
-        match cont.kv_remove(oid, key) {
-            Ok(_) | Err(DaosError::ObjNotFound(_)) => Ok(()),
-            Err(e) => Err(e),
-        }
+        self.pool.kv_remove(cont, oid, key)
     }
 
     async fn kv_list_keys(&self, cont: &Self::Cont, oid: Oid) -> Result<Vec<Bytes>> {
@@ -784,9 +752,8 @@ impl DaosApi for EmbeddedClient {
         offset: u64,
         data: Bytes,
     ) -> Result<()> {
-        extent_end(offset, data.len() as u64)?;
-        self.pool.charge(data.len() as u64)?;
-        cont.array_write(handle.oid(), offset, data)
+        self.pool
+            .array_write(cont, handle.oid(), &[(offset, data)], None)
     }
 
     async fn array_write_vec(
@@ -795,12 +762,7 @@ impl DaosApi for EmbeddedClient {
         handle: &ArrayHandle,
         iovs: Vec<(u64, Bytes)>,
     ) -> Result<()> {
-        for (offset, data) in &iovs {
-            extent_end(*offset, data.len() as u64)?;
-        }
-        let bytes: usize = iovs.iter().map(|(_, d)| d.len()).sum();
-        self.pool.charge(bytes as u64)?;
-        cont.array_write_vec(handle.oid(), iovs)
+        self.pool.array_write(cont, handle.oid(), &iovs, None)
     }
 
     async fn array_read(
@@ -961,6 +923,22 @@ mod tests {
             client.array_close(&cont, h).await.unwrap();
         });
         assert_eq!(pool.used(), 1000);
+    }
+
+    #[test]
+    fn conditional_insert_into_a_full_pool_stores_nothing() {
+        // Regression: the insert landed before the charge, so `NoSpace`
+        // left the key stored and uncharged.
+        let pool = Rc::new(Pool::new(Uuid::NIL, 1, 4));
+        let client = EmbeddedClient::new(Rc::clone(&pool));
+        block_on(async {
+            let cont = client.cont_open_or_create(Uuid::NIL).await.unwrap();
+            let kv = OidAllocator::new(0).next(ObjectClass::SX);
+            let put = client.kv_put_if_absent(&cont, kv, b"key", Bytes::from_static(b"value"));
+            assert_eq!(put.await, Err(DaosError::NoSpace));
+            assert_eq!(client.kv_get(&cont, kv, b"key").await, Ok(None));
+        });
+        assert_eq!(pool.used(), 0);
     }
 
     #[test]

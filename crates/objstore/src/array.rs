@@ -22,6 +22,12 @@ pub fn extent_end(offset: u64, len: u64) -> Result<u64> {
         .ok_or(DaosError::InvalidArg("array extent overflows u64"))
 }
 
+/// Checks every `(offset, data)` extent of a write batch with
+/// [`extent_end`].
+pub fn check_extents(iovs: &[(u64, Bytes)]) -> Result<()> {
+    (iovs.iter()).try_for_each(|(offset, data)| extent_end(*offset, data.len() as u64).map(drop))
+}
+
 /// The longest extent one array read may ask for: 1 GiB. A read returns
 /// its bytes in one buffer (holes zero-filled), so a larger `len` would
 /// allocate that much up front, and a huge one would abort the process.
@@ -102,9 +108,9 @@ impl ArrayObject {
     }
 
     /// Writes every `(offset, data)` extent, in order (scatter-gather).
-    pub fn write_many(&mut self, iovs: Vec<(u64, Bytes)>) {
+    pub fn write_many(&mut self, iovs: &[(u64, Bytes)]) {
         for (offset, data) in iovs {
-            self.write(offset, data);
+            self.write(*offset, data.clone());
         }
     }
 

@@ -128,30 +128,16 @@ impl Container {
     // -- Key-Value API ----------------------------------------------------
 
     /// Inserts `key` into KV `oid`; returns the previous value, if any.
-    pub fn kv_put(&self, oid: Oid, key: &[u8], value: Bytes) -> Result<Option<Bytes>> {
+    /// Uncharged: callers go through [`Pool::kv_put`](crate::Pool::kv_put).
+    pub(crate) fn kv_put(&self, oid: Oid, key: &[u8], value: Bytes) -> Result<Option<Bytes>> {
         bump(&self.ops.kv_updates, 1);
         self.kv_update(oid, |kv| kv.put(key, value))
     }
 
-    /// Conditional insert into KV `oid`: writes `key` only if it is
-    /// absent, returning the already-present value when the insert
-    /// loses. Check and insert happen in one call — the atomic dirent
-    /// insert the DFS namespace's create/mkdir race-resolution relies on.
-    pub fn kv_put_if_absent(&self, oid: Oid, key: &[u8], value: Bytes) -> Result<Option<Bytes>> {
-        bump(&self.ops.kv_updates, 1);
-        self.kv_update(oid, |kv| match kv.get(key) {
-            Some(existing) => Some(existing),
-            None => {
-                kv.put(key, value);
-                None
-            }
-        })
-    }
-
     /// Vectorized insert into KV `oid`: all pairs land in one call (the
     /// batch the event-queue layer ships as a single request). Equivalent
-    /// to `kv_put` of each pair in order.
-    pub fn kv_put_multi(&self, oid: Oid, pairs: Vec<(Bytes, Bytes)>) -> Result<()> {
+    /// to `kv_put` of each pair in order. Uncharged, like `kv_put`.
+    pub(crate) fn kv_put_multi(&self, oid: Oid, pairs: &[(Bytes, Bytes)]) -> Result<()> {
         bump(&self.ops.kv_updates, pairs.len() as u64);
         self.kv_update(oid, |kv| kv.put_many(pairs))
     }
@@ -161,7 +147,9 @@ impl Container {
         self.kv_read(oid, None, |kv| kv.get(key))
     }
 
-    pub fn kv_remove(&self, oid: Oid, key: &[u8]) -> Result<Option<Bytes>> {
+    /// Removes `key` from KV `oid`; callers go through
+    /// [`Pool::kv_remove`](crate::Pool::kv_remove).
+    pub(crate) fn kv_remove(&self, oid: Oid, key: &[u8]) -> Result<Option<Bytes>> {
         bump(&self.ops.kv_updates, 1);
         match self.objects.borrow_mut().get_mut(&oid) {
             None => Err(DaosError::ObjNotFound(oid)),
@@ -209,14 +197,10 @@ impl Container {
         }
     }
 
-    pub fn array_write(&self, oid: Oid, offset: u64, data: Bytes) -> Result<()> {
-        bump(&self.ops.array_updates, 1);
-        self.array(oid, |a| a.write(offset, data))
-    }
-
     /// Scatter-gather write: every `(offset, data)` extent lands in one
-    /// call. Equivalent to `array_write` of each extent in order.
-    pub fn array_write_vec(&self, oid: Oid, iovs: Vec<(u64, Bytes)>) -> Result<()> {
+    /// call, in order. Uncharged and unchecked: callers go through
+    /// [`Pool::array_write`](crate::Pool::array_write).
+    pub(crate) fn array_write(&self, oid: Oid, iovs: &[(u64, Bytes)]) -> Result<()> {
         bump(&self.ops.array_updates, iovs.len() as u64);
         self.array(oid, |a| a.write_many(iovs))
     }
@@ -230,8 +214,9 @@ impl Container {
         self.array(oid, |a| a.size())
     }
 
-    /// Stores the EC parity cell of an Array object.
-    pub fn array_set_parity(&self, oid: Oid, parity: Bytes) -> Result<()> {
+    /// Stores the EC parity cell of an Array object. Uncharged, like
+    /// `array_write`.
+    pub(crate) fn array_set_parity(&self, oid: Oid, parity: Bytes) -> Result<()> {
         bump(&self.ops.array_updates, 1);
         self.array(oid, |a| a.set_parity(parity))
     }
@@ -347,7 +332,7 @@ mod tests {
     fn array_ops_require_existing_object() {
         let c = c();
         assert_eq!(
-            c.array_write(oid(3), 0, Bytes::from_static(b"x")),
+            c.array_write(oid(3), &[(0, Bytes::from_static(b"x"))]),
             Err(DaosError::ObjNotFound(oid(3)))
         );
         assert_eq!(c.array_open(oid(3)), Err(DaosError::ObjNotFound(oid(3))));
@@ -384,7 +369,7 @@ mod tests {
         c.kv_put(oid(1), b"a", Bytes::from_static(b"x")).unwrap();
         c.kv_put(oid(1), b"b", Bytes::from_static(b"y")).unwrap();
         c.array_create(oid(2)).unwrap();
-        c.array_write(oid(2), 0, Bytes::from(vec![0u8; 500]))
+        c.array_write(oid(2), &[(0, Bytes::from(vec![0u8; 500]))])
             .unwrap();
         let s = c.stats();
         assert_eq!(s.objects, 2);

@@ -44,9 +44,9 @@ impl KvObject {
     }
 
     /// Inserts or replaces every pair, in order (vectorized update).
-    pub fn put_many(&mut self, pairs: Vec<(Bytes, Bytes)>) {
+    pub fn put_many(&mut self, pairs: &[(Bytes, Bytes)]) {
         for (key, value) in pairs {
-            self.entries.insert(key, value);
+            self.entries.insert(key.clone(), value.clone());
         }
     }
 

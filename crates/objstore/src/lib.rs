@@ -4,7 +4,9 @@
 //! the paper's field I/O layer is built on:
 //!
 //! * [`pool::Pool`] — reserved storage spanning *targets*, hosting
-//!   containers, with capacity accounting;
+//!   containers, with capacity accounting: the store half of every
+//!   occupancy-changing op (check, charge, mutate) lives here, once, and
+//!   both `DaosApi` backends run it;
 //! * [`container::Container`] — a transactional object namespace;
 //! * [`kv::KvObject`] — Key-Value objects (the paper's indexes);
 //! * [`array::ArrayObject`] — byte-extent Array objects (field payloads),

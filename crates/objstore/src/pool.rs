@@ -4,8 +4,12 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use bytes::Bytes;
+
+use crate::array::check_extents;
 use crate::container::{Container, ContainerStats, OpCounts};
 use crate::error::{DaosError, Result};
+use crate::oid::Oid;
 use crate::uuid::Uuid;
 
 /// Default pool capacity when unspecified: effectively unlimited for
@@ -56,11 +60,66 @@ impl Pool {
     /// never refunds trimmed extents — matching the paper's field I/O
     /// design, which de-references but deliberately never deletes
     /// overwritten arrays.
-    pub fn charge(&self, bytes: u64) -> Result<()> {
+    pub(crate) fn charge(&self, bytes: u64) -> Result<()> {
         let used = (self.used.get().checked_add(bytes))
             .filter(|&used| used <= self.capacity)
             .ok_or(DaosError::NoSpace)?;
         self.used.set(used);
+        Ok(())
+    }
+
+    // -- The store half of every occupancy-changing op ---------------------
+    //
+    // Both backends run these: `EmbeddedClient` directly, `SimClient` in
+    // the commit stage of its RPC. Each validates, charges, then mutates,
+    // so no code outside this crate can change occupancy without paying.
+
+    /// KV update: charges key plus value, then inserts (creating the KV
+    /// on first use).
+    pub fn kv_put(&self, cont: &Container, oid: Oid, key: &[u8], value: Bytes) -> Result<()> {
+        self.charge((key.len() + value.len()) as u64)?;
+        cont.kv_put(oid, key, value).map(drop)
+    }
+
+    /// Vectorized KV update: charges every pair at once, then inserts
+    /// them in order. An empty batch is a no-op.
+    pub fn kv_put_multi(&self, cont: &Container, oid: Oid, pairs: &[(Bytes, Bytes)]) -> Result<()> {
+        if pairs.is_empty() {
+            return Ok(());
+        }
+        self.charge(pairs.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum())?;
+        cont.kv_put_multi(oid, pairs)
+    }
+
+    /// KV key removal. An absent key, or a never-written KV, is a
+    /// successful no-op.
+    pub fn kv_remove(&self, cont: &Container, oid: Oid, key: &[u8]) -> Result<()> {
+        match cont.kv_remove(oid, key) {
+            Ok(_) | Err(DaosError::ObjNotFound(_)) => Ok(()),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Array update of `iovs`, plus the EC `parity` cell when the object
+    /// has one: checks every extent, charges and writes the data, then
+    /// charges and stores the parity. An empty batch is a no-op.
+    pub fn array_write(
+        &self,
+        cont: &Container,
+        oid: Oid,
+        iovs: &[(u64, Bytes)],
+        parity: Option<Bytes>,
+    ) -> Result<()> {
+        check_extents(iovs)?;
+        if iovs.is_empty() {
+            return Ok(());
+        }
+        self.charge(iovs.iter().map(|(_, d)| d.len() as u64).sum())?;
+        cont.array_write(oid, iovs)?;
+        if let Some(parity) = parity {
+            self.charge(parity.len() as u64)?;
+            cont.array_set_parity(oid, parity)?;
+        }
         Ok(())
     }
 
@@ -179,8 +238,7 @@ mod tests {
         let p = pool();
         let c1 = p.cont_create(Uuid::from_u64_pair(0, 1)).unwrap();
         let c2 = p.cont_create(Uuid::from_u64_pair(0, 2)).unwrap();
-        use crate::oid::{ObjectClass, Oid};
-        use bytes::Bytes;
+        use crate::oid::ObjectClass;
         c1.kv_put(
             Oid::generate(1, 1, ObjectClass::SX),
             b"k",
@@ -191,8 +249,7 @@ mod tests {
             .unwrap();
         c2.array_write(
             Oid::generate(1, 2, ObjectClass::S1),
-            0,
-            Bytes::from(vec![0u8; 64]),
+            &[(0, Bytes::from(vec![0u8; 64]))],
         )
         .unwrap();
         let s = p.stats();

@@ -244,16 +244,18 @@ mod tests {
         let c1 = pool.cont_create(Uuid::from_name(b"c1")).unwrap();
         let c2 = pool.cont_create(Uuid::from_name(b"c2")).unwrap();
         let kv = Oid::generate(1, 1, ObjectClass::SX);
-        c1.kv_put(kv, b"step=0", Bytes::from_static(b"ref0"))
+        pool.kv_put(&c1, kv, b"step=0", Bytes::from_static(b"ref0"))
             .unwrap();
-        c1.kv_put(kv, b"step=24", Bytes::from_static(b"ref24"))
+        pool.kv_put(&c1, kv, b"step=24", Bytes::from_static(b"ref24"))
             .unwrap();
         let a = Oid::generate(1, 2, ObjectClass::S1);
         c2.array_create(a).unwrap();
-        c2.array_write(a, 0, Bytes::from(vec![9u8; 4096])).unwrap();
-        c2.array_write(a, 10_000, Bytes::from_static(b"tail"))
-            .unwrap();
-        pool.charge(4100).unwrap();
+        let iovs = [
+            (0, Bytes::from(vec![9u8; 4096])),
+            (10_000, Bytes::from_static(b"tail")),
+        ];
+        pool.array_write(&c2, a, &iovs, None).unwrap();
+        assert_eq!(pool.used(), 22 + 4100);
         pool
     }
 
@@ -290,9 +292,8 @@ mod tests {
         let c = pool.cont_create(Uuid::from_name(b"ec")).unwrap();
         let o = Oid::generate(2, 9, ObjectClass::EC2P1);
         c.array_create(o).unwrap();
-        c.array_write(o, 0, Bytes::from_static(b"payload!"))
-            .unwrap();
-        c.array_set_parity(o, Bytes::from_static(b"par")).unwrap();
+        let iov = [(0, Bytes::from_static(b"payload!"))];
+        (pool.array_write(&c, o, &iov, Some(Bytes::from_static(b"par")))).unwrap();
         let mut buf = Vec::new();
         save_pool(&pool, &mut buf).unwrap();
         let loaded = load_pool(&mut buf.as_slice()).unwrap();

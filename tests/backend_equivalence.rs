@@ -371,3 +371,137 @@ fn concurrent_distinct_objects_on_both_backends() {
         handoffs(&log)
     );
 }
+
+/// An object a parity call names: a created array, a KV holding the key
+/// `old`, or a KV-class oid nothing was stored under.
+#[derive(Clone, Copy, Debug)]
+enum Obj {
+    Array,
+    Kv,
+    Missing,
+}
+
+/// One `DaosApi` call of a backend-parity program.
+#[derive(Clone, Copy, Debug)]
+enum Call {
+    KvPut(Obj, &'static str, &'static str),
+    KvPutMulti(Obj, &'static [(&'static str, &'static str)]),
+    KvPutIfAbsent(Obj, &'static str, &'static str),
+    KvGet(Obj, &'static str),
+    KvRemove(Obj, &'static str),
+    ArrayWriteVec(Obj, &'static [(u64, &'static str)]),
+}
+
+/// Edge cases of the store half both backends share, each with the
+/// outcome both must give. The empty batches and the losing conditional
+/// insert once differed between them. A later differential fuzzer grows
+/// this table.
+const EDGE_CASES: &[(Call, &str)] = &[
+    // Empty batches are no-ops, whatever the object.
+    (Call::KvPutMulti(Obj::Array, &[]), "Ok(())"),
+    (Call::KvPutMulti(Obj::Missing, &[]), "Ok(())"),
+    (Call::ArrayWriteVec(Obj::Missing, &[]), "Ok(())"),
+    (Call::ArrayWriteVec(Obj::Kv, &[]), "Ok(())"),
+    // A winning, then a losing, conditional insert.
+    (Call::KvPutIfAbsent(Obj::Kv, "new", "first"), "Ok(None)"),
+    (
+        Call::KvPutIfAbsent(Obj::Kv, "new", "second"),
+        "Ok(Some(b\"first\"))",
+    ),
+    (Call::KvGet(Obj::Kv, "new"), "Ok(Some(b\"first\"))"),
+    // Batches that land, and type and presence errors.
+    (
+        Call::KvPutMulti(Obj::Kv, &[("a", "1"), ("b", "22")]),
+        "Ok(())",
+    ),
+    (
+        Call::ArrayWriteVec(Obj::Array, &[(0, "ab"), (8, "cd")]),
+        "Ok(())",
+    ),
+    (
+        Call::KvPut(Obj::Array, "k", "v"),
+        "Err(WrongType(Oid(0000000100000046.0000000000000000 class=S1)))",
+    ),
+    (Call::KvRemove(Obj::Missing, "k"), "Ok(())"),
+    (Call::KvRemove(Obj::Kv, "old"), "Ok(())"),
+    (Call::KvGet(Obj::Kv, "old"), "Ok(None)"),
+];
+
+/// Runs `calls` on one backend, against a fresh container holding the
+/// three objects [`Obj`] names, and returns each call's outcome.
+async fn parity_program<D: DaosApi>(
+    client: &D,
+    calls: impl IntoIterator<Item = Call>,
+) -> Vec<String> {
+    use daosim::objstore::{ArrayHandle, ObjectClass, Oid};
+    let cont = client
+        .cont_open_or_create(Uuid::from_name(b"parity"))
+        .await
+        .expect("cont");
+    let array = client
+        .array_create(&cont, Oid::generate(70, 0, ObjectClass::S1))
+        .await
+        .expect("create");
+    let kv = Oid::generate(70, 1, ObjectClass::SX);
+    let old = Bytes::from_static(b"value");
+    client.kv_put(&cont, kv, b"old", old).await.expect("seed");
+    let missing = Oid::generate(70, 2, ObjectClass::SX);
+    let oid = |o| match o {
+        Obj::Array => array.oid(),
+        Obj::Kv => kv,
+        Obj::Missing => missing,
+    };
+    let bytes = |s: &'static str| Bytes::from_static(s.as_bytes());
+    let mut out = Vec::new();
+    for call in calls {
+        let got = match call {
+            Call::KvPut(o, k, v) => format!(
+                "{:?}",
+                client.kv_put(&cont, oid(o), k.as_bytes(), bytes(v)).await
+            ),
+            Call::KvPutMulti(o, pairs) => {
+                let pairs = pairs.iter().map(|&(k, v)| (bytes(k), bytes(v))).collect();
+                format!("{:?}", client.kv_put_multi(&cont, oid(o), pairs).await)
+            }
+            Call::KvPutIfAbsent(o, k, v) => {
+                let put = client.kv_put_if_absent(&cont, oid(o), k.as_bytes(), bytes(v));
+                format!("{:?}", put.await)
+            }
+            Call::KvGet(o, k) => format!("{:?}", client.kv_get(&cont, oid(o), k.as_bytes()).await),
+            Call::KvRemove(o, k) => {
+                format!("{:?}", client.kv_remove(&cont, oid(o), k.as_bytes()).await)
+            }
+            Call::ArrayWriteVec(o, iovs) => {
+                let iovs = iovs.iter().map(|&(off, d)| (off, bytes(d))).collect();
+                let h = ArrayHandle::from_open(oid(o));
+                format!("{:?}", client.array_write_vec(&cont, &h, iovs).await)
+            }
+        };
+        out.push(format!("{call:?} -> {got}"));
+    }
+    client.array_close(&cont, array).await.expect("close");
+    out
+}
+
+#[test]
+fn edge_cases_agree_on_both_backends() {
+    let pool = unbounded_pool();
+    let embedded = EmbeddedClient::new(Rc::clone(&pool));
+    let got_embedded = run_to_end(&Sim::new(), async move {
+        parity_program(&embedded, EDGE_CASES.iter().map(|&(call, _)| call)).await
+    });
+    let sim = Sim::new();
+    let d = Deployment::new(&sim, ClusterSpec::tcp(1, 1));
+    let client = SimClient::for_process(&d, 0, 0);
+    let got_simulated = run_to_end(&sim, async move {
+        parity_program(&client, EDGE_CASES.iter().map(|&(call, _)| call)).await
+    });
+    for (((call, want), e), s) in EDGE_CASES.iter().zip(&got_embedded).zip(&got_simulated) {
+        assert_eq!(e, s, "the backends disagree");
+        assert_eq!(*e, format!("{call:?} -> {want}"));
+    }
+    assert_eq!(got_embedded.len(), EDGE_CASES.len());
+    assert_eq!(pool.used(), d.pool.used());
+    assert_eq!(pool.op_counts(), d.pool.op_counts());
+    assert_eq!(pool.stats(), d.pool.stats());
+}
