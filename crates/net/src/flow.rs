@@ -54,21 +54,35 @@
 //!   level is the least link share;
 //! - a link leaves the live list the moment its last class freezes, so no
 //!   round filters the list;
+//! - one pass over the live links finds the level and keeps each link
+//!   whose share is within tolerance of the least share seen so far; the
+//!   round's tight links are all on that short list;
 //! - candidates live in a bitset popped by a forward cursor, in ascending
 //!   index; a mid-round insert is always above the class just popped, so
 //!   the cursor never has to move back.
 //!
-//! A settle advances and retires flows in one pass over the slots, noting
-//! each class's least remaining byte count; the next completion is the
-//! least `remaining / rate` over the active classes, which is exact because
-//! correctly rounded division by a positive rate is monotone. That pass is
-//! the only drain of its instant: an arrival does not drain the other
-//! flows, it marks its flow *fresh*, and whichever drain runs next — the
-//! settle, or an observer such as `bytes_delivered` or `set_link_capacity`
-//! at the same instant — skips the fresh flow, whose arrival is the end of
-//! the interval being drained, and unmarks it. Every other flow takes the
-//! same `drain` subtraction it took when arrivals drained, with the same
-//! interval and rate, and `delivered` sums the same terms in slot order.
+//! A settle's drain costs in proportion to the active classes, not to the
+//! flows, by fair-queueing virtual time (Demers, Keshav & Shenker, SIGCOMM
+//! 1989). Every flow of a class drains at the class's one rate, so a class
+//! keeps `served`, the bytes each member has been served, and a min-heap
+//! of its flows keyed by *tag*: `served` when the flow was filed plus its
+//! bytes. A flow's remaining byte count is `tag − served`. A drain adds
+//! `rate · dt` to each active class's `served` once, retires the flows at
+//! the top of each heap with at most [`DRAIN_EPS`] bytes left, in
+//! ascending slot order across classes (so same-instant completions fire
+//! deterministically), and notes each class's least remaining byte count;
+//! the next completion is the least `remaining / rate` over the active
+//! classes, exact because correctly rounded division by a positive rate is
+//! monotone. `delivered` adds `rate · dt` per filed member and gives back
+//! what each retired flow overshot. An arrival does not drain anything: it
+//! joins a pending list, and whichever drain runs next — the settle, or an
+//! observer such as `bytes_delivered` or `set_link_capacity` at the same
+//! instant — first advances every class and only then files the new flow
+//! at the advanced `served`, so it takes no service for the interval its
+//! arrival ends. Rates are unchanged by all this; remaining bytes and
+//! `delivered` come from class-level sums, so they may differ from
+//! per-flow subtraction in their last digits. `served` restarts at 0 when
+//! a class empties, which keeps it within one busy period's bytes.
 //!
 //! Same-instant arrivals coalesce: `transfer` only queues one settle event
 //! per instant, so a batch of N transfers issued at one tick triggers a
@@ -80,7 +94,8 @@
 //! oracle for this crate's equivalence tests.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::rc::Rc;
 
 use daosim_kernel::sync::{oneshot, OneshotReceiver, OneshotSender};
@@ -155,7 +170,8 @@ impl FlowCap {
     }
 }
 
-/// Cumulative settle-path counters, for tests and benchmarks.
+/// Cumulative settle-path counters, for tests and benchmarks. Every one
+/// is an exact count of work, so it repeats from run to run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Settle passes executed. Same-instant arrivals coalesce into one.
@@ -163,26 +179,24 @@ pub struct SolverStats {
     /// Rate recomputations actually performed (≤ `settles`; clean settles
     /// skip the solver entirely).
     pub recomputes: u64,
+    /// Classes visited by settles' drains: each settle visits its active
+    /// classes once, however many flows they hold.
+    pub drain_visits: u64,
+    /// Progressive-filling rounds over all recomputes.
+    pub fill_rounds: u64,
+    /// Classes frozen over all recomputes (each fill freezes every active
+    /// class once).
+    pub class_freezes: u64,
+    /// Live links read by the rounds' level scans, counting the re-read
+    /// of each link kept as possibly tight.
+    pub link_visits: u64,
 }
 
 struct Flow {
     class: u32,
-    /// Inserted since the last drain: the next drain's interval predates
-    /// the flow, so that drain skips it (and clears the mark).
-    fresh: bool,
-    remaining: f64, // bytes
     done: Option<OneshotSender<()>>,
     /// Open "net" span, closed when the flow drains.
     span: Option<SpanId>,
-}
-
-impl Flow {
-    /// Drains `rate * dt` bytes (at most what is left) and returns them.
-    fn drain(&mut self, rate: f64, dt: f64) -> f64 {
-        let d = (rate * dt).min(self.remaining);
-        self.remaining -= d;
-        d
-    }
 }
 
 struct Slot {
@@ -209,9 +223,23 @@ struct Class {
     /// computed for (it only changes when that count does).
     eff_cap: f64,
     cap_count: u32,
-    /// Least remaining byte count over the class's live flows, refreshed
-    /// by every settle's slot pass.
+    /// Least remaining byte count over the class's filed flows, refreshed
+    /// by every settle's drain.
     min_remaining: f64,
+}
+
+/// A class's virtual time and its filed flows. Kept beside [`Class`],
+/// not in it, so the fill's per-class reads stay on fewer cache lines.
+#[derive(Default)]
+struct Queue {
+    /// The bytes each member has been served, summed over the drains
+    /// since the class last emptied.
+    served: f64,
+    /// Filed members as `(tag, slot)`, least tag on top. A flow's tag is
+    /// the `served` it was filed at plus its bytes, so its remaining byte
+    /// count is `tag − served`. Tags are non-negative, so their bit
+    /// patterns order like their values.
+    filed: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
 impl Class {
@@ -250,7 +278,8 @@ impl ClassKey {
 #[derive(Default)]
 struct Scratch {
     /// Per link: residual capacity, unfrozen member count, current fair
-    /// share (`residual / count`), and the round it was last found tight.
+    /// share (`residual / count`), and the round it was last found tight
+    /// (numbered by [`SolverStats::fill_rounds`]).
     residual: Vec<f64>,
     count: Vec<u32>,
     share: Vec<f64>,
@@ -263,8 +292,10 @@ struct Scratch {
     frozen: Vec<bool>,
     /// Classes to try this round.
     pending: ClassSet,
-    /// Progressive-filling rounds run so far (stamps `tight`).
-    round: u64,
+    /// Links a round's level scan kept as possibly tight.
+    near: Vec<u32>,
+    /// Slots a drain retires, sorted before they are freed.
+    retired: Vec<u32>,
     finished: Vec<(OneshotSender<()>, Option<SpanId>)>,
 }
 
@@ -319,6 +350,9 @@ struct Inner {
     slots: Vec<Slot>,
     free: Vec<u32>,
     active: usize,
+    /// Flows that arrived since the last drain, as `(slot, bytes)`. The
+    /// next drain files them after advancing their classes.
+    joins: Vec<(u32, f64)>,
     /// Interned routes: shared slices for callers, one flat array (spans
     /// per route) for the solver.
     routes: Vec<Rc<[LinkId]>>,
@@ -326,6 +360,8 @@ struct Inner {
     route_links: Vec<LinkId>,
     route_spans: Vec<(u32, u32)>,
     classes: Vec<Class>,
+    /// Per class, its virtual-time queue.
+    queues: Vec<Queue>,
     class_index: HashMap<ClassKey, u32>,
     /// Classes with live flows, in no particular order.
     active_classes: Vec<u32>,
@@ -403,11 +439,13 @@ impl FlowNet {
                 slots: Vec::new(),
                 free: Vec::new(),
                 active: 0,
+                joins: Vec::new(),
                 routes: Vec::new(),
                 route_index: HashMap::new(),
                 route_links: Vec::new(),
                 route_spans: Vec::new(),
                 classes: Vec::new(),
+                queues: Vec::new(),
                 class_index: HashMap::new(),
                 active_classes: Vec::new(),
                 group_ids: HashMap::new(),
@@ -549,14 +587,13 @@ impl FlowNet {
                 None
             };
             // No drain here. The next drain (at the latest, the settle
-            // queued below) ends at this instant and skips the new flow.
-            inner.insert_flow(Flow {
+            // queued below) ends at this instant and files the new flow.
+            let id = inner.insert_flow(Flow {
                 class,
-                fresh: true,
-                remaining: bytes as f64,
                 done: Some(tx),
                 span,
             });
+            inner.joins.push((id.slot(), bytes as f64));
             queue_settle = !inner.settle_queued;
             inner.settle_queued = true;
         }
@@ -695,6 +732,7 @@ impl Inner {
             cap_count: 0,
             min_remaining: f64::INFINITY,
         });
+        self.queues.push(Queue::default());
         self.class_index.insert(key, id);
         id
     }
@@ -741,6 +779,9 @@ impl Inner {
         if c.active > 0 {
             return;
         }
+        // No member is left to measure against, so virtual time restarts
+        // (keeping `served` no larger than the bytes of one busy period).
+        self.queues[class as usize].served = 0.0;
         let pos = c.active_pos as usize;
         self.active_classes.swap_remove(pos);
         if let Some(&moved) = self.active_classes.get(pos) {
@@ -782,76 +823,75 @@ impl Inner {
         }
     }
 
-    /// Drains `rate * dt` bytes from each flow up to `now`. A fresh flow
-    /// arrived at `now`, after the interval began, so it is only unmarked.
+    /// Advances every active class's virtual time to `now`, adding
+    /// `rate · dt` to its `served` and the bytes its filed members took to
+    /// `delivered`. Then files the flows that joined since the last drain
+    /// at the advanced `served`: an arrival ends the interval just
+    /// drained, so the new flow owes nothing for it.
     fn advance_to(&mut self, now: SimTime) {
         let dt = now
             .saturating_duration_since(self.last_update)
             .as_secs_f64();
         self.last_update = now;
-        if dt == 0.0 || self.active == 0 {
-            return;
-        }
-        let Inner { slots, classes, .. } = self;
-        let mut moved = 0.0;
-        for slot in slots.iter_mut() {
-            if let Some(f) = &mut slot.flow {
-                if f.fresh {
-                    f.fresh = false;
-                } else {
-                    moved += f.drain(classes[f.class as usize].rate, dt);
-                }
+        if dt != 0.0 {
+            for &ci in &self.active_classes {
+                let q = &mut self.queues[ci as usize];
+                let d = self.classes[ci as usize].rate * dt;
+                q.served += d;
+                self.delivered += d * q.filed.len() as f64;
             }
         }
-        self.delivered += moved;
+        for (slot, bytes) in self.joins.drain(..) {
+            let f = self.slots[slot as usize]
+                .flow
+                .as_ref()
+                .expect("joined flow left before it was filed");
+            let q = &mut self.queues[f.class as usize];
+            q.filed.push(Reverse(((q.served + bytes).to_bits(), slot)));
+        }
     }
 
-    /// [`Inner::advance_to`] fused with retiring drained flows, in one
-    /// pass over the slots in index order (so same-instant completions
-    /// fire deterministically). Also refreshes each active class's least
-    /// remaining byte count for [`Inner::next_completion`].
+    /// [`Inner::advance_to`], then retires every flow with at most
+    /// [`DRAIN_EPS`] bytes left: a class's drained flows are the top of
+    /// its heap. They retire in ascending slot order, so same-instant
+    /// completions fire deterministically, and `delivered` gives back
+    /// what each overshot its bytes by.
     fn advance_and_drain(
         &mut self,
         now: SimTime,
         finished: &mut Vec<(OneshotSender<()>, Option<SpanId>)>,
     ) {
-        let dt = now
-            .saturating_duration_since(self.last_update)
-            .as_secs_f64();
-        self.last_update = now;
-        if self.active == 0 {
-            return;
-        }
-        for &c in &self.active_classes {
-            self.classes[c as usize].min_remaining = f64::INFINITY;
-        }
-        let mut moved = 0.0;
-        for idx in 0..self.slots.len() {
-            let Some(f) = &mut self.slots[idx].flow else {
-                continue;
+        self.advance_to(now);
+        self.stats.drain_visits += self.active_classes.len() as u64;
+        let mut retired = std::mem::take(&mut self.scratch.retired);
+        for &ci in &self.active_classes {
+            let q = &mut self.queues[ci as usize];
+            self.classes[ci as usize].min_remaining = loop {
+                let Some(&Reverse((tag, slot))) = q.filed.peek() else {
+                    break f64::INFINITY;
+                };
+                let left = f64::from_bits(tag) - q.served;
+                if left > DRAIN_EPS {
+                    break left;
+                }
+                q.filed.pop();
+                self.delivered += left.min(0.0);
+                retired.push(slot);
             };
-            let class = &mut self.classes[f.class as usize];
-            if f.fresh {
-                f.fresh = false;
-            } else if dt != 0.0 {
-                moved += f.drain(class.rate, dt);
-            }
-            if f.remaining > DRAIN_EPS {
-                class.min_remaining = class.min_remaining.min(f.remaining);
-                continue;
-            }
-            let class = f.class;
-            let done = f.done.take().map(|tx| (tx, f.span.take()));
-            let slot = &mut self.slots[idx];
-            slot.flow = None;
+        }
+        retired.sort_unstable();
+        for &idx in &retired {
+            let slot = &mut self.slots[idx as usize];
+            let f = slot.flow.take().expect("retired an empty slot");
             slot.generation = slot.generation.wrapping_add(1);
-            self.free.push(idx as u32);
+            self.free.push(idx);
             self.active -= 1;
             self.dirty = true;
-            self.leave(class);
-            finished.extend(done);
+            self.leave(f.class);
+            finished.extend(f.done.map(|tx| (tx, f.span)));
         }
-        self.delivered += moved;
+        retired.clear();
+        self.scratch.retired = retired;
     }
 
     /// Earliest completion instant across active flows, if any. Per class
@@ -901,7 +941,10 @@ impl Inner {
     /// Caps do not change within a fill, so the unfrozen caps are only
     /// rescanned in a round whose tolerance reaches `floor`, the least cap
     /// at the last rescan; below it no cap can bind. A link leaves `live`
-    /// as soon as its last class freezes.
+    /// as soon as its last class freezes. The level scan keeps, in `near`,
+    /// each link whose share is at most the running minimum times
+    /// `1 + 1e-9`. The final `level` is at most every running minimum and
+    /// rounding is monotone, so every link with share ≤ `tol` is in `near`.
     fn fill(&mut self) {
         let Inner {
             links,
@@ -912,6 +955,7 @@ impl Inner {
             classes,
             active_classes,
             group_counts,
+            stats,
             scratch,
             ..
         } = self;
@@ -924,7 +968,7 @@ impl Inner {
             live_pos,
             frozen,
             pending,
-            round,
+            near,
             ..
         } = scratch;
         // Only live links are read: every route of an active class is.
@@ -951,16 +995,24 @@ impl Inner {
             floor = floor.min(classes[ci as usize].refresh_cap(group_counts));
         }
         let mut left = active_classes.len();
+        stats.class_freezes += left as u64;
 
         while left > 0 {
-            *round += 1;
-            let stamp = *round;
-            // Tightest link share, then the tightest class cap if one can
-            // bind this round.
+            // The round count stamps the links found tight this round.
+            stats.fill_rounds += 1;
+            let stamp = stats.fill_rounds;
+            // Tightest link share, keeping every link within tolerance of
+            // the least share so far: the round's tight links are among
+            // them. Then the tightest class cap, if one can bind.
             let mut level = f64::INFINITY;
+            near.clear();
             for &l in live.iter() {
                 level = level.min(share[l as usize]);
+                if share[l as usize] <= level * (1.0 + 1e-9) {
+                    near.push(l);
+                }
             }
+            stats.link_visits += (live.len() + near.len()) as u64;
             let rescan = level * (1.0 + 1e-9) >= floor;
             if rescan {
                 floor = f64::INFINITY;
@@ -983,7 +1035,7 @@ impl Inner {
                     }
                 }
             }
-            for &l in live.iter() {
+            for &l in near.iter() {
                 if share[l as usize] <= tol {
                     tight[l as usize] = stamp;
                     for &ci in &link_classes[l as usize] {
@@ -1119,15 +1171,21 @@ impl Inner {
     /// Recomputes the incremental bookkeeping from the live flows and
     /// asserts it matches: per-link member counts, the active-class list
     /// and positions, per-class and per-group counts, the link → class
-    /// adjacency and the live-link list. A settle's drain has unmarked
-    /// every fresh flow.
+    /// adjacency and the live-link list. Each class's heap holds exactly
+    /// its filed members, and the heaps plus the pending joins hold every
+    /// live flow.
     #[cfg(test)]
     fn check_bookkeeping(&self) {
         let mut members = vec![0u32; self.links.len()];
         let mut per_class = vec![0u32; self.classes.len()];
         let mut groups = vec![0u32; self.group_counts.len()];
-        for f in self.slots.iter().filter_map(|s| s.flow.as_ref()) {
-            assert!(!f.fresh, "flow still fresh after a settle");
+        let mut filed = vec![Vec::new(); self.classes.len()];
+        let joined: Vec<u32> = self.joins.iter().map(|&(slot, _)| slot).collect();
+        for (idx, slot) in self.slots.iter().enumerate() {
+            let Some(f) = &slot.flow else { continue };
+            if !joined.contains(&(idx as u32)) {
+                filed[f.class as usize].push(idx as u32);
+            }
             per_class[f.class as usize] += 1;
             for l in self.route_of(f.class) {
                 members[l.0 as usize] += 1;
@@ -1141,6 +1199,10 @@ impl Inner {
         let mut adjacency = vec![Vec::new(); self.links.len()];
         for (ci, c) in self.classes.iter().enumerate() {
             assert_eq!(c.active, per_class[ci], "class {ci} member count");
+            let queue = &self.queues[ci].filed;
+            let mut heap: Vec<u32> = queue.iter().map(|&Reverse((_, slot))| slot).collect();
+            heap.sort_unstable();
+            assert_eq!(heap, filed[ci], "class {ci} filed members");
             let listed = self.active_classes.contains(&(ci as u32));
             assert_eq!(listed, c.active > 0, "class {ci} active-list membership");
             if c.active > 0 {
@@ -1171,6 +1233,8 @@ impl Inner {
             self.active,
             per_class.iter().map(|&n| n as usize).sum::<usize>()
         );
+        let heaps: usize = self.queues.iter().map(|q| q.filed.len()).sum();
+        assert_eq!(heaps + joined.len(), self.active, "filed plus joined flows");
     }
 }
 
@@ -1376,6 +1440,30 @@ mod tests {
         // Each runs alone at the full 2 GiB/s cap: 1 s each.
         assert!((t[0] as f64 / 1e9 - 1.0).abs() < 1e-6, "{t:?}");
         assert!(((t[1] - t[0]) as f64 / 1e9 - 1.0).abs() < 1e-6, "{t:?}");
+    }
+
+    #[test]
+    fn same_instant_completions_fire_in_slot_order() {
+        // Two classes whose flows all finish at t = 1 s: A's two 1 GiB
+        // flows share a 2 GiB/s link, B's two 2 GiB flows a 4 GiB/s one.
+        // Issued B, A, B, A, they hold slots 0–3 and interleave the
+        // classes, so draining class by class would fire 0, 2, 1, 3 (or
+        // 1, 3, 0, 2); completions fire in slot order instead.
+        let sim = Sim::new();
+        let net = FlowNet::new(&sim);
+        let (a, b) = (net.add_link(2.0), net.add_link(4.0));
+        let fired: Rc<RefCell<Vec<(usize, u64)>>> = Rc::default();
+        for (i, (link, gib)) in [(b, 2), (a, 1), (b, 2), (a, 1)].into_iter().enumerate() {
+            let rx = net.transfer(&[link], gib * GIB as u64, FlowCap::unlimited());
+            let (sim2, fired) = (sim.clone(), Rc::clone(&fired));
+            sim.spawn(async move {
+                rx.await;
+                fired.borrow_mut().push((i, sim2.now().as_nanos()));
+            });
+        }
+        sim.run().expect_quiescent();
+        let at = 1_000_000_000;
+        assert_eq!(*fired.borrow(), [(0, at), (1, at), (2, at), (3, at)]);
     }
 
     #[test]
@@ -1977,48 +2065,59 @@ mod ior_shaped {
     /// snapshots taken every [`SAMPLE_EVERY`] when `sample` is set.
     type Run = (Vec<u64>, Vec<Snapshot>);
 
-    fn run(naive: bool, sample: bool) -> Run {
-        let sim = Sim::new();
+    /// An endpoint with its inbound and outbound stack links.
+    type Host = (Endpoint, LinkId, LinkId);
+
+    /// The `tcp(8,16)` fabric: 16 engines and 32 client sockets, with the
+    /// NEXTGenIO calibration's stack capacities.
+    fn shape(sim: &Sim, naive: bool) -> (Fabric, Vec<Host>, Vec<Host>) {
         let mut spec = FabricSpec::new(24, ProviderProfile::tcp());
         spec.host_efficiency = 0.8;
-        let fabric = Rc::new(if naive {
-            Fabric::new_naive(&sim, spec)
+        let fabric = if naive {
+            Fabric::new_naive(sim, spec)
         } else {
-            Fabric::new(&sim, spec)
-        });
-        let net = fabric.net().clone();
-        // (endpoint, inbound stack link, outbound stack link), with the
-        // NEXTGenIO calibration's stack capacities.
-        let engines: Vec<(Endpoint, LinkId, LinkId)> = (0..16u16)
+            Fabric::new(sim, spec)
+        };
+        let net = fabric.net();
+        let engines = (0..16u16)
             .map(|e| {
                 let ep = Endpoint::new(e / 2, (e % 2) as u8);
                 (ep, net.add_link(2.9), net.add_link(7.8))
             })
             .collect();
-        let clients: Vec<(Endpoint, LinkId, LinkId)> = (0..32u16)
+        let clients = (0..32u16)
             .map(|c| {
                 let ep = Endpoint::new(8 + c / 2, (c % 2) as u8);
                 (ep, net.add_link(3.9), net.add_link(9.0))
             })
             .collect();
+        (fabric, engines, clients)
+    }
+
+    /// A transfer from `src` to `dst` through both stacks: its route and
+    /// cap.
+    fn stack_route(fabric: &Fabric, src: Host, dst: Host) -> (Vec<LinkId>, FlowCap) {
+        let mut r = vec![src.2];
+        r.extend(fabric.route(src.0, dst.0));
+        r.push(dst.1);
+        (r, fabric.flow_cap(src.0, dst.0))
+    }
+
+    fn run(naive: bool, sample: bool) -> Run {
+        let sim = Sim::new();
+        let (fabric, engines, clients) = shape(&sim, naive);
+        let net = fabric.net().clone();
         let done: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(vec![0; FLOWS as usize]));
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         for i in 0..FLOWS {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let (cep, crx, ctx) = clients[(i % 32) as usize];
-            let (eep, erx, etx) = engines[(x % 16) as usize];
+            let (client, engine) = (clients[(i % 32) as usize], engines[(x % 16) as usize]);
             let (route, cap) = if x & 0x100 == 0 {
-                let mut r = vec![ctx];
-                r.extend(fabric.route(cep, eep));
-                r.push(erx);
-                (r, fabric.flow_cap(cep, eep))
+                stack_route(&fabric, client, engine)
             } else {
-                let mut r = vec![etx];
-                r.extend(fabric.route(eep, cep));
-                r.push(crx);
-                (r, fabric.flow_cap(eep, cep))
+                stack_route(&fabric, engine, client)
             };
             // Batches of eight same-instant arrivals, 100 µs apart.
             let start = SimDuration::from_micros((i / 8) * 100);
@@ -2074,6 +2173,105 @@ mod ior_shaped {
                 ((*f as f64) - (*s as f64)).abs() <= tol,
                 "completion {f} vs {s}"
             );
+        }
+    }
+
+    /// `flows` concurrent 1 MiB writes on the `ior-bulk` shape: 256
+    /// ranks, 8 per client socket, each writing to the engine its file
+    /// lives on, and each leaving the barrier up to 200 µs late; flow `i`
+    /// is rank `i % 256`'s. Returns the solver's counters and each flow's
+    /// route, start and completion instant.
+    fn concurrent_writes(flows: usize) -> (SolverStats, Vec<(Vec<LinkId>, u64, u64)>) {
+        let sim = Sim::new();
+        let (fabric, engines, clients) = shape(&sim, false);
+        let net = fabric.net().clone();
+        let ranks: Vec<(usize, u64)> = (0..256u64)
+            .map(|rank| {
+                let mut x = 0x2545_f491_4f6c_dd1d ^ rank.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                ((x % 16) as usize, (x >> 8) % 200_000)
+            })
+            .collect();
+        let done: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(vec![0; flows]));
+        let mut specs = Vec::new();
+        for i in 0..flows {
+            let (engine, skew) = ranks[i % 256];
+            let (route, cap) = stack_route(&fabric, clients[i % 256 / 8], engines[engine]);
+            specs.push((route.clone(), skew));
+            let (net, sim2, done) = (net.clone(), sim.clone(), Rc::clone(&done));
+            sim.spawn(async move {
+                sim2.sleep(SimDuration::from_nanos(skew)).await;
+                net.transfer(&route, 1 << 20, cap).await;
+                done.borrow_mut()[i] = sim2.now().as_nanos();
+            });
+        }
+        sim.run().expect_quiescent();
+        let flows = (specs.into_iter().zip(done.borrow().iter()))
+            .map(|((route, start), &end)| (route, start, end))
+            .collect();
+        (net.solver_stats(), flows)
+    }
+
+    #[test]
+    fn drains_visit_active_classes_not_flows() {
+        // (flows, flows live over the settles, counters). A per-flow drain
+        // visits at least the live flows; from 256 to 1024 flows they grow
+        // fourfold, while the classes, and so the drain visits, do not.
+        let pins = [
+            (
+                256,
+                65_510,
+                SolverStats {
+                    settles: 510,
+                    recomputes: 510,
+                    drain_visits: 58_432,
+                    fill_rounds: 3_104,
+                    class_freezes: 58_213,
+                    link_visits: 289_453,
+                },
+            ),
+            (
+                1024,
+                261_228,
+                SolverStats {
+                    settles: 509,
+                    recomputes: 509,
+                    drain_visits: 58_128,
+                    fill_rounds: 2_805,
+                    class_freezes: 57_909,
+                    link_visits: 258_131,
+                },
+            ),
+        ];
+        for (n, live_pin, pinned) in pins {
+            let (stats, flows) = concurrent_writes(n);
+            // One settle per instant at which flows start or complete.
+            let mut instants: Vec<u64> = flows.iter().flat_map(|f| [f.1, f.2]).collect();
+            instants.sort_unstable();
+            instants.dedup();
+            assert_eq!(stats.settles, instants.len() as u64, "{n} flows");
+            // A settle at `t` drains every flow live at `t`: started by
+            // then, and completing then or later. A flow's route is its
+            // class, since the route fixes the endpoints and so the cap.
+            let (mut classes, mut live) = (0, 0);
+            for &t in &instants {
+                let mut active: Vec<Vec<u32>> = (flows.iter())
+                    .filter(|f| f.1 <= t && t <= f.2)
+                    .map(|f| f.0.iter().map(|l| l.0).collect())
+                    .collect();
+                live += active.len() as u64;
+                active.sort_unstable();
+                active.dedup();
+                classes += active.len() as u64;
+            }
+            assert_eq!(stats.drain_visits, classes, "{n} flows");
+            assert_eq!(live, live_pin, "{n} flows");
+            // Recorded on x86-64 Linux (glibc `powf` sets the grouped
+            // caps). A scan reading every live link twice per round gives
+            // the same counts except `link_visits`: 538,808 and 478,992.
+            assert_eq!(stats, pinned, "{n} flows");
         }
     }
 

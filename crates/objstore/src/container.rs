@@ -127,6 +127,12 @@ impl Container {
 
     // -- Key-Value API ----------------------------------------------------
 
+    /// `Ok` when a KV update of `oid` would land: `oid` is a KV, or
+    /// nothing yet (a KV materializes on first update).
+    pub(crate) fn check_kv(&self, oid: Oid) -> Result<()> {
+        self.kv_read(oid, (), |_| ())
+    }
+
     /// Inserts `key` into KV `oid`; returns the previous value, if any.
     /// Uncharged: callers go through [`Pool::kv_put`](crate::Pool::kv_put).
     pub(crate) fn kv_put(&self, oid: Oid, key: &[u8], value: Bytes) -> Result<Option<Bytes>> {

@@ -71,12 +71,15 @@ impl Pool {
     // -- The store half of every occupancy-changing op ---------------------
     //
     // Both backends run these: `EmbeddedClient` directly, `SimClient` in
-    // the commit stage of its RPC. Each validates, charges, then mutates,
-    // so no code outside this crate can change occupancy without paying.
+    // the commit stage of its RPC. Each checks the object, charges
+    // everything the op stores as one amount, then mutates, so a failed
+    // op charges and stores nothing, and no code outside this crate can
+    // change occupancy without paying.
 
     /// KV update: charges key plus value, then inserts (creating the KV
     /// on first use).
     pub fn kv_put(&self, cont: &Container, oid: Oid, key: &[u8], value: Bytes) -> Result<()> {
+        cont.check_kv(oid)?;
         self.charge((key.len() + value.len()) as u64)?;
         cont.kv_put(oid, key, value).map(drop)
     }
@@ -87,6 +90,7 @@ impl Pool {
         if pairs.is_empty() {
             return Ok(());
         }
+        cont.check_kv(oid)?;
         self.charge(pairs.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum())?;
         cont.kv_put_multi(oid, pairs)
     }
@@ -101,8 +105,8 @@ impl Pool {
     }
 
     /// Array update of `iovs`, plus the EC `parity` cell when the object
-    /// has one: checks every extent, charges and writes the data, then
-    /// charges and stores the parity. An empty batch is a no-op.
+    /// has one: checks every extent and the object, charges the data and
+    /// the parity together, then writes both. An empty batch is a no-op.
     pub fn array_write(
         &self,
         cont: &Container,
@@ -114,10 +118,11 @@ impl Pool {
         if iovs.is_empty() {
             return Ok(());
         }
-        self.charge(iovs.iter().map(|(_, d)| d.len() as u64).sum())?;
+        cont.array_open(oid)?;
+        let parity_len = parity.as_ref().map_or(0, |p| p.len() as u64);
+        self.charge(iovs.iter().map(|(_, d)| d.len() as u64).sum::<u64>() + parity_len)?;
         cont.array_write(oid, iovs)?;
         if let Some(parity) = parity {
-            self.charge(parity.len() as u64)?;
             cont.array_set_parity(oid, parity)?;
         }
         Ok(())

@@ -385,17 +385,23 @@ enum Obj {
 #[derive(Clone, Copy, Debug)]
 enum Call {
     KvPut(Obj, &'static str, &'static str),
+    /// A put of a value of this many bytes.
+    KvPutSized(Obj, &'static str, usize),
     KvPutMulti(Obj, &'static [(&'static str, &'static str)]),
     KvPutIfAbsent(Obj, &'static str, &'static str),
     KvGet(Obj, &'static str),
     KvRemove(Obj, &'static str),
     ArrayWriteVec(Obj, &'static [(u64, &'static str)]),
+    /// An `array_write` of this many bytes at this offset.
+    ArrayWrite(Obj, u64, usize),
+    ArraySize(Obj),
 }
 
 /// Edge cases of the store half both backends share, each with the
 /// outcome both must give. The empty batches and the losing conditional
-/// insert once differed between them. A later differential fuzzer grows
-/// this table.
+/// insert once differed between them. A call that fails must leave the
+/// pool's `used()` as it was (the failed writes once kept their charge).
+/// A later differential fuzzer grows this table.
 const EDGE_CASES: &[(Call, &str)] = &[
     // Empty batches are no-ops, whatever the object.
     (Call::KvPutMulti(Obj::Array, &[]), "Ok(())"),
@@ -425,14 +431,30 @@ const EDGE_CASES: &[(Call, &str)] = &[
     (Call::KvRemove(Obj::Missing, "k"), "Ok(())"),
     (Call::KvRemove(Obj::Kv, "old"), "Ok(())"),
     (Call::KvGet(Obj::Kv, "old"), "Ok(None)"),
+    // Failed writes charge and change nothing.
+    (
+        Call::KvPutSized(Obj::Array, "k", 1000),
+        "Err(WrongType(Oid(0000000100000046.0000000000000000 class=S1)))",
+    ),
+    (Call::ArraySize(Obj::Array), "Ok(10)"),
+    (
+        Call::ArrayWrite(Obj::Missing, 0, 4096),
+        "Err(ObjNotFound(Oid(0000000300000046.0000000000000002 class=SX)))",
+    ),
+    (
+        Call::ArraySize(Obj::Missing),
+        "Err(ObjNotFound(Oid(0000000300000046.0000000000000002 class=SX)))",
+    ),
 ];
 
 /// Runs `calls` on one backend, against a fresh container holding the
-/// three objects [`Obj`] names, and returns each call's outcome.
+/// three objects [`Obj`] names, and returns each call's outcome with the
+/// bytes it added to `pool`'s `used()`.
 async fn parity_program<D: DaosApi>(
     client: &D,
+    pool: &Pool,
     calls: impl IntoIterator<Item = Call>,
-) -> Vec<String> {
+) -> Vec<(String, u64)> {
     use daosim::objstore::{ArrayHandle, ObjectClass, Oid};
     let cont = client
         .cont_open_or_create(Uuid::from_name(b"parity"))
@@ -454,11 +476,16 @@ async fn parity_program<D: DaosApi>(
     let bytes = |s: &'static str| Bytes::from_static(s.as_bytes());
     let mut out = Vec::new();
     for call in calls {
+        let used = pool.used();
         let got = match call {
             Call::KvPut(o, k, v) => format!(
                 "{:?}",
                 client.kv_put(&cont, oid(o), k.as_bytes(), bytes(v)).await
             ),
+            Call::KvPutSized(o, k, len) => {
+                let put = client.kv_put(&cont, oid(o), k.as_bytes(), Bytes::from(vec![1; len]));
+                format!("{:?}", put.await)
+            }
             Call::KvPutMulti(o, pairs) => {
                 let pairs = pairs.iter().map(|&(k, v)| (bytes(k), bytes(v))).collect();
                 format!("{:?}", client.kv_put_multi(&cont, oid(o), pairs).await)
@@ -476,8 +503,17 @@ async fn parity_program<D: DaosApi>(
                 let h = ArrayHandle::from_open(oid(o));
                 format!("{:?}", client.array_write_vec(&cont, &h, iovs).await)
             }
+            Call::ArrayWrite(o, offset, len) => {
+                let h = ArrayHandle::from_open(oid(o));
+                let write = client.array_write(&cont, &h, offset, Bytes::from(vec![2; len]));
+                format!("{:?}", write.await)
+            }
+            Call::ArraySize(o) => {
+                let h = ArrayHandle::from_open(oid(o));
+                format!("{:?}", client.array_size(&cont, &h).await)
+            }
         };
-        out.push(format!("{call:?} -> {got}"));
+        out.push((format!("{call:?} -> {got}"), pool.used() - used));
     }
     client.array_close(&cont, array).await.expect("close");
     out
@@ -487,21 +523,49 @@ async fn parity_program<D: DaosApi>(
 fn edge_cases_agree_on_both_backends() {
     let pool = unbounded_pool();
     let embedded = EmbeddedClient::new(Rc::clone(&pool));
+    let embedded_pool = Rc::clone(&pool);
     let got_embedded = run_to_end(&Sim::new(), async move {
-        parity_program(&embedded, EDGE_CASES.iter().map(|&(call, _)| call)).await
+        let calls = EDGE_CASES.iter().map(|&(call, _)| call);
+        parity_program(&embedded, &embedded_pool, calls).await
     });
     let sim = Sim::new();
     let d = Deployment::new(&sim, ClusterSpec::tcp(1, 1));
     let client = SimClient::for_process(&d, 0, 0);
+    let sim_pool = Rc::clone(&d.pool);
     let got_simulated = run_to_end(&sim, async move {
-        parity_program(&client, EDGE_CASES.iter().map(|&(call, _)| call)).await
+        let calls = EDGE_CASES.iter().map(|&(call, _)| call);
+        parity_program(&client, &sim_pool, calls).await
     });
     for (((call, want), e), s) in EDGE_CASES.iter().zip(&got_embedded).zip(&got_simulated) {
         assert_eq!(e, s, "the backends disagree");
-        assert_eq!(*e, format!("{call:?} -> {want}"));
+        assert_eq!(e.0, format!("{call:?} -> {want}"));
+        if want.starts_with("Err") {
+            assert_eq!(e.1, 0, "{call:?} failed but charged {} bytes", e.1);
+        }
     }
     assert_eq!(got_embedded.len(), EDGE_CASES.len());
     assert_eq!(pool.used(), d.pool.used());
     assert_eq!(pool.op_counts(), d.pool.op_counts());
     assert_eq!(pool.stats(), d.pool.stats());
+}
+
+#[test]
+fn ec_write_whose_parity_does_not_fit_stores_nothing() {
+    // Both backends commit an array write through `Pool::array_write`,
+    // and the simulated one hands it the EC parity cell. The pool has
+    // room for the data but not the parity: the write is `NoSpace` and
+    // neither charges nor stores a byte of either.
+    use daosim::objstore::{DaosError, ObjectClass, Oid};
+    let pool = Pool::new(Uuid::NIL, 4, 4096 + 2047);
+    let cont = pool.cont_create(Uuid::from_name(b"ec")).expect("cont");
+    let oid = Oid::generate(71, 0, ObjectClass::EC2P1);
+    cont.array_create(oid).expect("create");
+    let data = Bytes::from(vec![3u8; 4096]);
+    let parity = Some(Bytes::from(vec![0u8; 2048]));
+    let write = pool.array_write(&cont, oid, &[(0, data)], parity);
+    assert_eq!(write, Err(DaosError::NoSpace));
+    assert_eq!(pool.used(), 0);
+    assert_eq!(cont.array_size(oid), Ok(0));
+    assert_eq!(cont.array_parity(oid), Ok(None));
+    assert_eq!(pool.op_counts().array_updates, 0);
 }
