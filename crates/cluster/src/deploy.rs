@@ -10,6 +10,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use std::fmt;
@@ -273,6 +274,33 @@ struct ClientSocket {
     routes: RefCell<Vec<Option<RouteId>>>,
 }
 
+/// A multiply–rotate hash for the object-lock table's `(Uuid, Oid, u64)`
+/// keys: one multiply per word, where SipHash runs rounds per 8 bytes.
+/// The table is only ever looked up by key or summed, so its iteration
+/// order does not matter.
+#[derive(Default)]
+struct LockKeyHasher(u64);
+
+impl Hasher for LockKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type LockTable = HashMap<(Uuid, Oid, u64), PrioritySemaphore, BuildHasherDefault<LockKeyHasher>>;
+
 /// The object-region update locks one op section holds, from
 /// [`Deployment::lock_regions`]. Dropping it (at the section's end, or
 /// when a timeout cancels the attempt) releases them in acquisition
@@ -319,7 +347,7 @@ pub struct Deployment {
     pub pool_md: PrioritySemaphore,
     /// Lazily materialised per-object-region update locks; a lock left
     /// idle is dropped when its holder releases it ([`ObjLocks`]).
-    obj_locks: RefCell<HashMap<(Uuid, Oid, u64), PrioritySemaphore>>,
+    obj_locks: RefCell<LockTable>,
     /// Aging grants of the object locks dropped so far.
     retired_aged_grants: Cell<u64>,
     /// Pool-map overrides installed by rebuild: dead target → survivor.
@@ -415,7 +443,7 @@ impl Deployment {
             client_sockets,
             pool,
             pool_md: PrioritySemaphore::new(1, spec.admission),
-            obj_locks: RefCell::new(HashMap::new()),
+            obj_locks: RefCell::default(),
             retired_aged_grants: Cell::new(0),
             target_remap: RefCell::new(HashMap::new()),
             resilience: ResilienceStats::new(sim.obs().metrics()),

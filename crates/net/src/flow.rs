@@ -61,6 +61,23 @@
 //!   index; a mid-round insert is always above the class just popped, so
 //!   the cursor never has to move back.
 //!
+//! **Dominated links.** The solver works on the routes without the links
+//! that can never bind. Link A is *dominated* when some link B lies on
+//! every interned route through A, no route crosses A twice, and B has
+//! less capacity than A (or the same and a lower index). Then B carries
+//! at least A's unfrozen members and at most A's residual at every step
+//! of a fill, and correctly rounded subtraction, `max(0)` and division
+//! are monotone, so B's share is at most A's bit for bit: A never sets a
+//! level, and when A is tight so is B, whose classes include A's. Every
+//! candidate, freeze and subtraction on the other links is what it would
+//! be with A kept, so the rates are too (DESIGN.md §3.2b). Per link the
+//! net keeps the links shared by every interned route through it;
+//! interning a route can only free a link of its domination, and a
+//! capacity change can flip a link either way. A flip rebuilds the
+//! solver's routes and the per-link member counts, adjacency and live
+//! list from the active classes. Callers' routes ([`FlowNet::route_links`],
+//! [`FlowNet::snapshot_rates`]) and the naive oracle keep every link.
+//!
 //! A settle's drain costs in proportion to the active classes, not to the
 //! flows, by fair-queueing virtual time (Demers, Keshav & Shenker, SIGCOMM
 //! 1989). Every flow of a class drains at the class's one rate, so a class
@@ -190,6 +207,11 @@ pub struct SolverStats {
     /// Live links read by the rounds' level scans, counting the re-read
     /// of each link kept as possibly tight.
     pub link_visits: u64,
+    /// Solver route links walked by freezes: each freeze walks its
+    /// class's route once.
+    pub route_visits: u64,
+    /// Rounds that rescanned the unfrozen class caps.
+    pub cap_rescans: u64,
 }
 
 struct Flow {
@@ -208,7 +230,8 @@ struct Slot {
 /// group)` combination shares one max-min rate.
 struct Class {
     route: RouteId,
-    /// The route's span in [`Inner::route_links`].
+    /// The route's span in [`Inner::solver_links`]: its links that are
+    /// not dominated, so the only ones that can bind.
     links: (u32, u32),
     cap: FlowCap,
     /// Dense id of the cap group (index into [`Inner::group_counts`]).
@@ -255,6 +278,45 @@ impl Class {
         }
         self.eff_cap
     }
+}
+
+/// What the interned routes through one link have in common.
+#[derive(Default)]
+struct Cover {
+    /// The links on every interned route through this link (itself
+    /// included); `None` until a route crosses it.
+    shared: Option<Vec<u32>>,
+    /// Some interned route crosses the link more than once.
+    repeated: bool,
+    /// Dropped from the solver's routes.
+    dominated: bool,
+}
+
+impl Cover {
+    /// Whether link `l` of capacity `links[l]` is dominated: no route
+    /// crosses it twice, and a link on every route through it has less
+    /// capacity, or the same capacity and a lower index.
+    fn is_dominated(&self, links: &[f64], l: usize) -> bool {
+        let cap = links[l];
+        !self.repeated
+            && self.shared.iter().flatten().any(|&b| {
+                let b_cap = links[b as usize];
+                b_cap < cap || (b_cap == cap && (b as usize) < l)
+            })
+    }
+}
+
+/// Appends `route` without its dominated links to `links`, and its span
+/// there to `spans`.
+fn push_pruned(
+    cover: &[Cover],
+    route: &[LinkId],
+    links: &mut Vec<LinkId>,
+    spans: &mut Vec<(u32, u32)>,
+) {
+    let start = links.len() as u32;
+    links.extend(route.iter().filter(|l| !cover[l.0 as usize].dominated));
+    spans.push((start, links.len() as u32));
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -340,6 +402,8 @@ impl ClassSet {
 
 struct Inner {
     links: Vec<f64>, // capacity in bytes/s
+    /// Per link, what the interned routes through it share.
+    cover: Vec<Cover>,
     /// Live flows crossing each link.
     link_members: Vec<u32>,
     /// Active classes crossing each link.
@@ -353,12 +417,14 @@ struct Inner {
     /// Flows that arrived since the last drain, as `(slot, bytes)`. The
     /// next drain files them after advancing their classes.
     joins: Vec<(u32, f64)>,
-    /// Interned routes: shared slices for callers, one flat array (spans
-    /// per route) for the solver.
+    /// Interned routes: shared slices for callers, and for the solver
+    /// one flat array of the routes without their dominated links (spans
+    /// per route). The per-link member counts, adjacency and live list
+    /// count only the links the solver keeps.
     routes: Vec<Rc<[LinkId]>>,
     route_index: HashMap<Rc<[LinkId]>, RouteId>,
-    route_links: Vec<LinkId>,
-    route_spans: Vec<(u32, u32)>,
+    solver_links: Vec<LinkId>,
+    solver_spans: Vec<(u32, u32)>,
     classes: Vec<Class>,
     /// Per class, its virtual-time queue.
     queues: Vec<Queue>,
@@ -432,6 +498,7 @@ impl FlowNet {
             sim: sim.clone(),
             inner: Rc::new(RefCell::new(Inner {
                 links: Vec::new(),
+                cover: Vec::new(),
                 link_members: Vec::new(),
                 link_classes: Vec::new(),
                 live_links: Vec::new(),
@@ -442,8 +509,8 @@ impl FlowNet {
                 joins: Vec::new(),
                 routes: Vec::new(),
                 route_index: HashMap::new(),
-                route_links: Vec::new(),
-                route_spans: Vec::new(),
+                solver_links: Vec::new(),
+                solver_spans: Vec::new(),
                 classes: Vec::new(),
                 queues: Vec::new(),
                 class_index: HashMap::new(),
@@ -471,6 +538,7 @@ impl FlowNet {
         let mut inner = self.inner.borrow_mut();
         let id = LinkId(inner.links.len() as u32);
         inner.links.push(cap_gib * GIB);
+        inner.cover.push(Cover::default());
         inner.link_members.push(0);
         inner.link_classes.push(Vec::new());
         inner.live_pos.push(0);
@@ -491,6 +559,7 @@ impl FlowNet {
             assert!(slot < inner.links.len(), "unknown link {link:?}");
             inner.advance_to(now);
             inner.links[slot] = cap_gib * GIB;
+            inner.recheck_dominated();
             inner.dirty = true;
             queue_settle = !inner.settle_queued;
             inner.settle_queued = true;
@@ -565,11 +634,12 @@ impl FlowNet {
         let queue_settle;
         {
             let mut inner = self.inner.borrow_mut();
-            let &(start, end) = inner
-                .route_spans
+            let empty = inner
+                .routes
                 .get(route.0 as usize)
-                .unwrap_or_else(|| panic!("unknown route {route:?}"));
-            if bytes == 0 || start == end {
+                .unwrap_or_else(|| panic!("unknown route {route:?}"))
+                .is_empty();
+            if bytes == 0 || empty {
                 drop(inner);
                 tx.send(());
                 return rx;
@@ -617,11 +687,11 @@ impl FlowNet {
             inner.stats.settles += 1;
             let mut finished = std::mem::take(&mut inner.scratch.finished);
             inner.advance_and_drain(now, &mut finished);
-            if inner.dirty {
+            if inner.dirty && inner.active > 0 {
                 inner.recompute();
                 inner.stats.recomputes += 1;
-                inner.dirty = false;
             }
+            inner.dirty = false;
             #[cfg(test)]
             inner.check_bookkeeping();
             let next_at = inner.next_completion(now);
@@ -694,15 +764,85 @@ impl Inner {
                 "route references unknown link {l:?}"
             );
         }
+        // The new route narrows what the routes through its links share,
+        // so a link on an older route can only stop being dominated.
+        let mut flipped = false;
+        for (i, l) in route.iter().enumerate() {
+            if route[..i].contains(l) {
+                continue;
+            }
+            let li = l.0 as usize;
+            let cover = &mut self.cover[li];
+            cover.repeated |= route[i + 1..].contains(l);
+            match &mut cover.shared {
+                Some(shared) => shared.retain(|&b| route.contains(&LinkId(b))),
+                None => cover.shared = Some(route.iter().map(|l| l.0).collect()),
+            }
+            let dominated = cover.is_dominated(&self.links, li);
+            flipped |= cover.dominated && !dominated;
+            cover.dominated = dominated;
+        }
         let shared: Rc<[LinkId]> = Rc::from(route);
         let id = RouteId(self.routes.len() as u32);
-        let start = self.route_links.len() as u32;
-        self.route_links.extend_from_slice(route);
-        self.route_spans
-            .push((start, self.route_links.len() as u32));
         self.routes.push(Rc::clone(&shared));
         self.route_index.insert(shared, id);
+        if flipped {
+            self.reprune();
+        } else {
+            push_pruned(
+                &self.cover,
+                route,
+                &mut self.solver_links,
+                &mut self.solver_spans,
+            );
+        }
         id
+    }
+
+    /// Re-derives every link's dominated flag after a capacity change,
+    /// which can flip it either way, and re-prunes if any flipped.
+    fn recheck_dominated(&mut self) {
+        let mut flipped = false;
+        for (l, cover) in self.cover.iter_mut().enumerate() {
+            let dominated = cover.is_dominated(&self.links, l);
+            flipped |= cover.dominated != dominated;
+            cover.dominated = dominated;
+        }
+        if flipped {
+            self.reprune();
+        }
+    }
+
+    /// Rebuilds the solver's routes from the dominated flags, then the
+    /// per-link member counts, adjacency and live list from the active
+    /// classes (flows that joined but are not filed yet included).
+    fn reprune(&mut self) {
+        self.solver_links.clear();
+        self.solver_spans.clear();
+        for route in &self.routes {
+            push_pruned(
+                &self.cover,
+                route,
+                &mut self.solver_links,
+                &mut self.solver_spans,
+            );
+        }
+        for c in &mut self.classes {
+            c.links = self.solver_spans[c.route.0 as usize];
+        }
+        self.link_members.fill(0);
+        for adj in &mut self.link_classes {
+            adj.clear();
+        }
+        self.live_links.clear();
+        for i in 0..self.active_classes.len() {
+            let ci = self.active_classes[i];
+            let c = &self.classes[ci as usize];
+            for l in &self.solver_links[c.links.0 as usize..c.links.1 as usize] {
+                self.link_members[l.0 as usize] += c.active;
+            }
+            self.adjoin(ci);
+        }
     }
 
     fn class_for(&mut self, route: RouteId, cap: FlowCap) -> u32 {
@@ -722,7 +862,7 @@ impl Inner {
         let id = self.classes.len() as u32;
         self.classes.push(Class {
             route,
-            links: self.route_spans[route.0 as usize],
+            links: self.solver_spans[route.0 as usize],
             cap,
             group,
             active: 0,
@@ -742,7 +882,7 @@ impl Inner {
     fn join(&mut self, class: u32) {
         let (s, e) = self.classes[class as usize].links;
         for i in s..e {
-            self.link_members[self.route_links[i as usize].0 as usize] += 1;
+            self.link_members[self.solver_links[i as usize].0 as usize] += 1;
         }
         let c = &mut self.classes[class as usize];
         if let Some(g) = c.group {
@@ -754,8 +894,15 @@ impl Inner {
         }
         c.active_pos = self.active_classes.len() as u32;
         self.active_classes.push(class);
+        self.adjoin(class);
+    }
+
+    /// Adds a newly active `class` to its links' adjacency, making live
+    /// the links it is the first class on.
+    fn adjoin(&mut self, class: u32) {
+        let (s, e) = self.classes[class as usize].links;
         for i in s..e {
-            let l = self.route_links[i as usize].0;
+            let l = self.solver_links[i as usize].0;
             let adj = &mut self.link_classes[l as usize];
             if adj.is_empty() {
                 self.live_pos[l as usize] = self.live_links.len() as u32;
@@ -769,7 +916,7 @@ impl Inner {
     fn leave(&mut self, class: u32) {
         let (s, e) = self.classes[class as usize].links;
         for i in s..e {
-            self.link_members[self.route_links[i as usize].0 as usize] -= 1;
+            self.link_members[self.solver_links[i as usize].0 as usize] -= 1;
         }
         let c = &mut self.classes[class as usize];
         if let Some(g) = c.group {
@@ -788,7 +935,7 @@ impl Inner {
             self.classes[moved as usize].active_pos = pos as u32;
         }
         for i in s..e {
-            let l = self.route_links[i as usize].0 as usize;
+            let l = self.solver_links[i as usize].0 as usize;
             let adj = &mut self.link_classes[l];
             let at = adj
                 .iter()
@@ -951,7 +1098,7 @@ impl Inner {
             link_members,
             link_classes,
             live_links,
-            route_links,
+            solver_links,
             classes,
             active_classes,
             group_counts,
@@ -1015,6 +1162,7 @@ impl Inner {
             stats.link_visits += (live.len() + near.len()) as u64;
             let rescan = level * (1.0 + 1e-9) >= floor;
             if rescan {
+                stats.cap_rescans += 1;
                 floor = f64::INFINITY;
                 for &ci in active_classes.iter() {
                     if !frozen[ci as usize] {
@@ -1048,7 +1196,7 @@ impl Inner {
             let mut froze_any = false;
             while let Some(ci) = pending.pop_min() {
                 let c = &mut classes[ci as usize];
-                let route = &route_links[c.links.0 as usize..c.links.1 as usize];
+                let route = &solver_links[c.links.0 as usize..c.links.1 as usize];
                 let capped = c.eff_cap <= tol;
                 let link_bound = route.iter().any(|l| share[l.0 as usize] <= tol);
                 if !(capped || link_bound) {
@@ -1056,6 +1204,7 @@ impl Inner {
                 }
                 let rate = if capped { c.eff_cap } else { level };
                 let members = c.active;
+                stats.route_visits += route.len() as u64;
                 for l in route {
                     let li = l.0 as usize;
                     residual[li] = (residual[li] - rate * members as f64).max(0.0);
@@ -1165,7 +1314,7 @@ impl Inner {
     #[cfg(test)]
     fn route_of(&self, class: u32) -> &[LinkId] {
         let (s, e) = self.classes[class as usize].links;
-        &self.route_links[s as usize..e as usize]
+        &self.solver_links[s as usize..e as usize]
     }
 
     /// Recomputes the incremental bookkeeping from the live flows and
@@ -1173,9 +1322,53 @@ impl Inner {
     /// and positions, per-class and per-group counts, the link → class
     /// adjacency and the live-link list. Each class's heap holds exactly
     /// its filed members, and the heaps plus the pending joins hold every
-    /// live flow.
+    /// live flow. Every link's dominated flag is re-derived from all
+    /// interned routes, and the solver's routes and class spans must be
+    /// the routes without their dominated links.
     #[cfg(test)]
     fn check_bookkeeping(&self) {
+        let nl = self.links.len();
+        let mut shared: Vec<Option<Vec<u32>>> = vec![None; nl];
+        let mut repeated = vec![false; nl];
+        for route in &self.routes {
+            for (i, l) in route.iter().enumerate() {
+                let li = l.0 as usize;
+                repeated[li] |= route[i + 1..].contains(l);
+                let mut on_all = shared[li]
+                    .take()
+                    .unwrap_or_else(|| route.iter().map(|l| l.0).collect());
+                on_all.retain(|&b| route.contains(&LinkId(b)));
+                shared[li] = Some(on_all);
+            }
+        }
+        for l in 0..nl {
+            let cap = self.links[l];
+            let below = |b: usize| self.links[b] < cap || (self.links[b] == cap && b < l);
+            let dominated = !repeated[l] && shared[l].iter().flatten().any(|&b| below(b as usize));
+            assert_eq!(
+                self.cover[l].dominated, dominated,
+                "link {l} dominated flag"
+            );
+        }
+        assert_eq!(self.solver_spans.len(), self.routes.len());
+        for (r, route) in self.routes.iter().enumerate() {
+            let (s, e) = self.solver_spans[r];
+            let kept: Vec<LinkId> = (route.iter().copied())
+                .filter(|l| !self.cover[l.0 as usize].dominated)
+                .collect();
+            assert_eq!(
+                &self.solver_links[s as usize..e as usize],
+                &kept[..],
+                "route {r} solver links"
+            );
+            assert_eq!(kept.is_empty(), route.is_empty(), "route {r} pruned empty");
+        }
+        for (ci, c) in self.classes.iter().enumerate() {
+            assert_eq!(
+                c.links, self.solver_spans[c.route.0 as usize],
+                "class {ci} span"
+            );
+        }
         let mut members = vec![0u32; self.links.len()];
         let mut per_class = vec![0u32; self.classes.len()];
         let mut groups = vec![0u32; self.group_counts.len()];
@@ -1754,6 +1947,93 @@ mod tests {
         );
     }
 
+    pub(super) fn dominated(net: &FlowNet, l: LinkId) -> bool {
+        net.inner.borrow().cover[l.0 as usize].dominated
+    }
+
+    /// The links of `route` the solver keeps.
+    pub(super) fn solver_route(net: &FlowNet, route: RouteId) -> Vec<LinkId> {
+        let inner = net.inner.borrow();
+        let (s, e) = inner.solver_spans[route.0 as usize];
+        inner.solver_links[s as usize..e as usize].to_vec()
+    }
+
+    fn rates(net: &FlowNet) -> Vec<f64> {
+        net.snapshot_rates().into_iter().map(|(_, r)| r).collect()
+    }
+
+    #[test]
+    fn equal_capacity_twins_keep_the_lower_index() {
+        // a and b have one capacity and lie on the same routes, so each
+        // would drop the other; only the higher index goes. c lies only
+        // beside the slower a.
+        let sim = Sim::new();
+        let net = FlowNet::new(&sim);
+        let (a, b, c) = (net.add_link(3.0), net.add_link(3.0), net.add_link(5.0));
+        let r1 = net.intern_route(&[b, a]);
+        let r2 = net.intern_route(&[c, a, b]);
+        assert!(!dominated(&net, a));
+        assert!(dominated(&net, b) && dominated(&net, c));
+        assert_eq!(solver_route(&net, r1), [a]);
+        assert_eq!(solver_route(&net, r2), [a]);
+        assert_eq!(&*net.route_links(r2), &[c, a, b]);
+        let pending = [r1, r2].map(|r| net.transfer_interned(r, GIB as u64, FlowCap::unlimited()));
+        assert_eq!(rates(&net), [1.5, 1.5]);
+        drop(pending);
+        sim.run().expect_quiescent();
+    }
+
+    #[test]
+    fn a_link_crossed_twice_is_never_pruned() {
+        // [l5, l2, l5] counts its flow twice on l5, so l5's 6 GiB/s gives
+        // it 3, under l2's 4. l2 lies on every route through l5 and is
+        // slower, yet pruning l5 would let the flow run at 4.
+        let sim = Sim::new();
+        let net = FlowNet::new(&sim);
+        let l: Vec<LinkId> = [8.0, 8.0, 4.0, 8.0, 8.0, 6.0]
+            .iter()
+            .map(|&c| net.add_link(c))
+            .collect();
+        let r = net.intern_route(&[l[5], l[2], l[5]]);
+        assert!(!dominated(&net, l[5]) && !dominated(&net, l[2]));
+        assert_eq!(solver_route(&net, r), [l[5], l[2], l[5]]);
+        let pending = net.transfer_interned(r, GIB as u64, FlowCap::unlimited());
+        assert_eq!(rates(&net), [3.0]);
+        drop(pending);
+        sim.run().expect_quiescent();
+    }
+
+    #[test]
+    fn a_route_interned_mid_flight_restores_a_pruned_link() {
+        // b lies only on [a, b], beside the slower a, so it is pruned
+        // while the first flow runs. Interning [b] mid-flight breaks that:
+        // b rejoins with the in-flight flow counted, and the two flows
+        // share b's 3 GiB/s at 1.5 each. Counting only the newcomer on b
+        // would give them 2 and 3.
+        let sim = Sim::new();
+        let net = FlowNet::new(&sim);
+        let (a, b) = (net.add_link(2.0), net.add_link(3.0));
+        let (n, s) = (net.clone(), sim.clone());
+        sim.spawn(async move {
+            let first = n.transfer(&[a, b], GIB as u64, FlowCap::unlimited());
+            s.sleep(SimDuration::from_millis(100)).await;
+            assert!(dominated(&n, b));
+            assert_eq!(n.inner.borrow().link_members[b.0 as usize], 0);
+            let r = n.intern_route(&[b]);
+            assert!(!dominated(&n, b));
+            {
+                let inner = n.inner.borrow();
+                assert_eq!(inner.link_members[b.0 as usize], 1);
+                assert!(inner.live_links.contains(&b.0));
+            }
+            let second = n.transfer_interned(r, GIB as u64, FlowCap::unlimited());
+            assert_eq!(rates(&n), [1.5, 1.5]);
+            first.await;
+            second.await;
+        });
+        sim.run().expect_quiescent();
+    }
+
     #[test]
     fn mid_fill_caps_and_emptied_links_are_bit_stable() {
         // Four route shapes whose levels interleave: a narrow link L0
@@ -2051,6 +2331,7 @@ mod ior_shaped {
     //! deployment's fabric plus per-engine and per-client-socket stack
     //! links, ~1000 staggered 1 MiB shard flows, host-pair cap groups at
     //! alpha 0.45.
+    use super::tests::{dominated, solver_route};
     use super::*;
     use crate::fabric::{Endpoint, Fabric, FabricSpec, ProviderProfile};
     use std::rc::Rc;
@@ -2225,11 +2506,13 @@ mod ior_shaped {
                 65_510,
                 SolverStats {
                     settles: 510,
-                    recomputes: 510,
+                    recomputes: 509,
                     drain_visits: 58_432,
                     fill_rounds: 3_104,
                     class_freezes: 58_213,
-                    link_visits: 289_453,
+                    link_visits: 95_885,
+                    route_visits: 174_260,
+                    cap_rescans: 117,
                 },
             ),
             (
@@ -2237,11 +2520,13 @@ mod ior_shaped {
                 261_228,
                 SolverStats {
                     settles: 509,
-                    recomputes: 509,
+                    recomputes: 508,
                     drain_visits: 58_128,
                     fill_rounds: 2_805,
                     class_freezes: 57_909,
-                    link_visits: 258_131,
+                    link_visits: 86_335,
+                    route_visits: 173_348,
+                    cap_rescans: 0,
                 },
             ),
         ];
@@ -2272,6 +2557,96 @@ mod ior_shaped {
             // caps). A scan reading every live link twice per round gives
             // the same counts except `link_visits`: 538,808 and 478,992.
             assert_eq!(stats, pinned, "{n} flows");
+        }
+    }
+
+    #[test]
+    fn every_bulk_route_is_pruned_to_three_links() {
+        // With hosts at 9.7 × 0.8 = 7.76 GiB/s, a write keeps the client
+        // host, the server host and the engine's 2.9 GiB/s rx stack; a
+        // read keeps the server host, the client host and the client's
+        // 3.9 GiB/s rx stack. Stacks, NICs and UPIs above those hosts
+        // never bind.
+        let sim = Sim::new();
+        let (fabric, engines, clients) = shape(&sim, false);
+        let net = fabric.net();
+        let mut interned = Vec::new();
+        for &c in &clients {
+            for &e in &engines {
+                let write = net.intern_route(&stack_route(&fabric, c, e).0);
+                let read = net.intern_route(&stack_route(&fabric, e, c).0);
+                interned.push((c, e, write, read));
+            }
+        }
+        let host = |ep: Endpoint, other: Endpoint| fabric.route(ep, other)[1];
+        for (c, e, write, read) in interned {
+            let (client_host, server_host) = (host(c.0, e.0), host(e.0, c.0));
+            assert_eq!(solver_route(net, write), [client_host, server_host, e.1]);
+            assert_eq!(solver_route(net, read), [server_host, client_host, c.1]);
+        }
+    }
+
+    #[test]
+    fn rescaling_a_pruned_stack_below_its_dominator_restores_it() {
+        // Engine 0's tx stack (7.8 GiB/s) is pruned under its server host
+        // (7.76 GiB/s). Halving both its stacks at 1 ms, as
+        // `Deployment::degrade_engine_nic` does, takes the tx stack to
+        // 3.9 GiB/s: it rejoins the solver with its flows in flight.
+        // Restoring them at 2 ms prunes it again. Completions match the
+        // naive oracle.
+        let run = |naive: bool| -> Vec<u64> {
+            let sim = Sim::new();
+            let (fabric, engines, clients) = shape(&sim, naive);
+            let net = fabric.net().clone();
+            let done: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(vec![0; 256]));
+            for i in 0..256usize {
+                let (client, engine) = (clients[i % 32], engines[i / 32 % 2]);
+                let (route, cap) = if i % 3 == 0 {
+                    stack_route(&fabric, client, engine)
+                } else {
+                    stack_route(&fabric, engine, client)
+                };
+                let start = SimDuration::from_micros(i as u64 * 10);
+                let (net, sim2, done) = (net.clone(), sim.clone(), Rc::clone(&done));
+                sim.spawn(async move {
+                    sim2.sleep(start).await;
+                    net.transfer(&route, 1 << 20, cap).await;
+                    done.borrow_mut()[i] = sim2.now().as_nanos();
+                });
+            }
+            let (_, rx, tx) = engines[0];
+            for (at_us, factor, pruned) in [(1000, 0.5, false), (2000, 1.0, true)] {
+                let net = net.clone();
+                sim.schedule_after(SimDuration::from_micros(at_us), move || {
+                    net.set_link_capacity(rx, 2.9 * factor);
+                    net.set_link_capacity(tx, 7.8 * factor);
+                    if naive {
+                        return;
+                    }
+                    assert_eq!(dominated(&net, tx), pruned, "at {at_us} µs");
+                    let inner = net.inner.borrow();
+                    let through = (inner.slots.iter().filter_map(|s| s.flow.as_ref()))
+                        .filter(|f| {
+                            let c = &inner.classes[f.class as usize];
+                            inner.routes[c.route.0 as usize].contains(&tx)
+                        })
+                        .count() as u32;
+                    assert!(through > 0, "no flow on the tx stack at {at_us} µs");
+                    let counted = if pruned { 0 } else { through };
+                    assert_eq!(inner.link_members[tx.0 as usize], counted);
+                });
+            }
+            sim.run().expect_quiescent();
+            let times = done.borrow().clone();
+            times
+        };
+        let (fast, slow) = (run(false), run(true));
+        for (f, s) in fast.iter().zip(&slow) {
+            let tol = (1e-6 * (*f as f64)).max(2e3);
+            assert!(
+                ((*f as f64) - (*s as f64)).abs() <= tol,
+                "completion {f} vs {s}"
+            );
         }
     }
 
