@@ -33,7 +33,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 
 use daosim_kernel::sync::join2;
 use daosim_kernel::AdmissionPolicy;
@@ -234,6 +234,10 @@ fn dctx<T>(r: Result<T, DaosError>, op: &'static str, key: &str) -> FieldResult<
     r.map_err(|e| FieldIoError::daos(op, key, e))
 }
 
+/// Encoded size of an [`IndexEntry`]: store container uuid, class byte,
+/// the oid's 32 + 64 user bits, field length.
+const INDEX_ENTRY_LEN: usize = 16 + 1 + 4 + 8 + 8;
+
 /// An index entry: store container, array oid, field length.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct IndexEntry {
@@ -243,8 +247,10 @@ pub struct IndexEntry {
 }
 
 impl IndexEntry {
+    /// Encodes on the stack, then copies into one allocation.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(16 + 16 + 8);
+        let mut raw = [0u8; INDEX_ENTRY_LEN];
+        let mut b = &mut raw[..];
         b.put_slice(self.store_cont.as_bytes());
         let (hi32, lo) = self.oid.user_bits();
         // Re-encode class+user bits losslessly.
@@ -258,11 +264,12 @@ impl IndexEntry {
         b.put_u32(hi32);
         b.put_u64(lo);
         b.put_u64(self.len);
-        b.freeze()
+        debug_assert!(b.is_empty());
+        Bytes::copy_from_slice(&raw)
     }
 
     pub fn decode(data: &[u8]) -> Option<IndexEntry> {
-        if data.len() != 16 + 1 + 4 + 8 + 8 {
+        if data.len() != INDEX_ENTRY_LEN {
             return None;
         }
         let mut u = [0u8; 16];
@@ -1280,7 +1287,9 @@ mod tests {
             oid: Oid::generate(3, 77, ObjectClass::S2),
             len: 5 * 1024 * 1024,
         };
-        assert_eq!(IndexEntry::decode(&e.encode()), Some(e));
+        let raw = e.encode();
+        assert_eq!(raw.len(), INDEX_ENTRY_LEN);
+        assert_eq!(IndexEntry::decode(&raw), Some(e));
         assert_eq!(IndexEntry::decode(b"short"), None);
     }
 

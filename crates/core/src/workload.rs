@@ -167,4 +167,22 @@ mod tests {
         assert_eq!(payload(0, 1).len(), 0);
         assert_eq!(payload(13, 1).len(), 13);
     }
+
+    /// FNV-1a, 64-bit: a fixed fingerprint of a payload's bytes.
+    fn fnv1a(data: &[u8]) -> u64 {
+        data.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    /// The benchmarks' inputs: any change to how `payload` builds its
+    /// buffer must leave these bytes exactly as they are.
+    #[test]
+    fn payload_bytes_are_pinned() {
+        // Odd length: 512 whole splitmix64 words and a 3-byte tail.
+        assert_eq!(fnv1a(&payload(4099, 1)), 0x57C1_2268_30CE_9F37);
+        let one_word = payload(8, 0);
+        assert_eq!(one_word[..], 0x6E78_9E6A_A1B9_65F4u64.to_le_bytes());
+        assert_eq!(fnv1a(&one_word), 0xEB5D_5EEF_8156_4AA2);
+    }
 }

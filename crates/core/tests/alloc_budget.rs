@@ -2,7 +2,8 @@
 //!
 //! Every field operation builds a key, reads its canonical text to split
 //! and look it up, and launches its composite operation on an event
-//! queue. None of that should rebuild strings or boxes it only reads.
+//! queue; a write also encodes an index entry. None of that should
+//! rebuild strings or boxes it only reads.
 //! This binary installs a counting global allocator (counting per
 //! thread, so the test harness's own threads do not disturb a count)
 //! and pins the budget of each step.
@@ -12,8 +13,11 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use daosim_core::cycle::{cycle_key, IndexLayout};
+use daosim_core::fieldio::IndexEntry;
 use daosim_core::key::KeySchema;
-use daosim_objstore::{EmbeddedClient, EventQueue, OpOutput, Pool, Uuid, DEFAULT_POOL_CAPACITY};
+use daosim_objstore::{
+    EmbeddedClient, EventQueue, ObjectClass, Oid, OpOutput, Pool, Uuid, DEFAULT_POOL_CAPACITY,
+};
 
 struct Counting;
 
@@ -77,6 +81,20 @@ fn canonical_text_allocates_nothing() {
     let n = allocs() - before;
     assert_eq!(n, 0, "reading canonical text allocated {n} times");
     assert_eq!(total, 2 * key.canonical().len() - 1);
+}
+
+#[test]
+fn index_entry_encodes_in_one_allocation() {
+    let entry = IndexEntry {
+        store_cont: Uuid::NIL,
+        oid: Oid::generate(3, 77, ObjectClass::S2),
+        len: 5 << 20,
+    };
+    let before = allocs();
+    let raw = entry.encode();
+    let n = allocs() - before;
+    assert_eq!(n, 1, "encoding an index entry allocated {n} times");
+    assert_eq!(IndexEntry::decode(&raw), Some(entry));
 }
 
 #[test]

@@ -236,8 +236,10 @@ impl Dirent {
     }
 
     /// `[magic, kind, class, user_hi BE, user_lo BE, size BE]`.
+    /// Encodes on the stack, then copies into one allocation.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(DIRENT_LEN);
+        let mut raw = [0u8; DIRENT_LEN];
+        let mut b = &mut raw[..];
         b.put_u8(DIRENT_MAGIC);
         b.put_u8(match self.kind {
             FileKind::File => 1,
@@ -248,7 +250,8 @@ impl Dirent {
         b.put_u32(hi);
         b.put_u64(lo);
         b.put_u64(self.size);
-        b.freeze()
+        debug_assert!(b.is_empty());
+        Bytes::copy_from_slice(&raw)
     }
 
     pub fn decode(raw: &[u8]) -> Option<Dirent> {
